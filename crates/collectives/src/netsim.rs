@@ -2,53 +2,77 @@
 //!
 //! [`allreduce_on`] executes the same algorithms as
 //! [`crate::allreduce()`](crate::allreduce::allreduce) — ring, k-ary tree, recursive doubling,
-//! plus the segmented (pipelined) ring/tree variants — but as
-//! *event-driven protocols* on an [`fpna_net`] fabric. Combine
-//! order is no longer injected by a seeded shuffle; it **emerges from
-//! message timing**:
+//! hierarchical, fabric ring, double binary tree and the segmented
+//! (pipelined) ring/tree variants — but as *event-driven protocols* on
+//! an [`fpna_net`] fabric. Combine order is no longer injected by a
+//! seeded shuffle; it **emerges from message timing**:
 //!
 //! * [`Ordering::ArrivalOrder`] — links carry seeded jitter (the seed
-//!   drives the [`fpna_net::JitterModel`]); each tree node folds child
-//!   contributions in the order their messages actually land. This is
-//!   MPI on a busy fabric. Ring and recursive doubling have a fixed
-//!   combine order by construction, so only their *timing* varies —
-//!   exactly the real-world split the paper describes.
+//!   drives the [`fpna_net::JitterModel`]); a rank folding several
+//!   children folds them in the order their messages actually land.
+//!   This is MPI on a busy fabric. Ring and recursive doubling have a
+//!   fixed combine order by construction, so only their *timing*
+//!   varies — exactly the real-world split the paper describes.
 //! * [`Ordering::RankOrder`] — the software-scheduled interconnect:
-//!   zero jitter and rank-ordered folds. Bit-for-bit replayable,
+//!   zero jitter and fixed-order folds. Bit-for-bit replayable,
 //!   including every timestamp.
 //! * [`Ordering::Reproducible`] — exact accumulators travel **in the
 //!   messages** (span-encoded: [`ExactAccumulator::wire_len`] per
 //!   element, bounded above by [`ExactAccumulator::WIRE_BYTES`] + 2,
 //!   instead of 8), the fabric stays jittered, and one final rounding
-//!   happens at the reduction root (tree/recursive doubling) or
-//!   segment owner (ring). Bits are identical across every topology,
-//!   algorithm, jitter seed **and segment count**; the bandwidth
-//!   inflation is the network's "cost of reproducibility" — priced at
-//!   the actual encoded payload.
+//!   happens where the reduction completes. Bits are identical across
+//!   every topology, algorithm, jitter seed **and segment count**; the
+//!   bandwidth inflation is the network's "cost of reproducibility" —
+//!   priced at the actual encoded payload.
 //!
-//! ## Segmentation (NCCL-style pipelining)
+//! ## One interpreter, many generators
 //!
-//! [`Algorithm::SegmentedRing`] and [`Algorithm::SegmentedTree`] cut
-//! the payload into `k` chunks that travel as independent messages, so
-//! serialization of chunk `i+1` overlaps propagation of chunk `i` and
-//! the bandwidth term pipelines across hops. Chunking never changes
-//! *which* values combine in *which* order per element — each element
-//! lives in exactly one chunk and follows the same ring rotation /
-//! tree fold as the unsegmented protocol — so segmentation is a pure
-//! timing knob: values are bitwise identical to the unsegmented
-//! algorithm at every chunk count (the property tests pin this).
+//! Every algorithm but recursive doubling (a butterfly with its own
+//! exchange loop) is a *reduce–broadcast forest*: trees that each
+//! reduce one payload range to a root, which rounds once and
+//! broadcasts the `f64`s back out. A tree gives every rank its
+//! up-parent, its up-children in fold order and its down-children in
+//! send order; the forest also lists the initial leaf sends in
+//! injection order. The generators: the k-ary tree is one tree; the
+//! ring is `p` chain trees over the ring `order` whose broadcast follows
+//! the allgather rotation (the fabric ring is the same generator on
+//! [`Topology::fabric_ring_order`]); the hierarchical tree folds
+//! intra-group children before inter-group ones and sends to
+//! inter-group children first; the double binary tree is two mirrored
+//! binary trees, one per payload half. One interpreter runs them all,
+//! owning the payload slab, buffer pool, NIC coalescing stage, the
+//! three fold policies, trace spans and completion checks — so the
+//! orderings differ only in fold policy, never in message schedule.
 //!
-//! ## Allocation discipline
+//! **Segmentation is a chunk transform.** [`Algorithm::SegmentedRing`]
+//! and [`Algorithm::SegmentedTree`] cut every tree's range into `k`
+//! chunks, each a tree over the same shape, and leaves inject their
+//! chunks back to back: chunk `i+1` serializes while chunk `i`
+//! propagates. Each element stays in one chunk with its tree's fold
+//! order, so values are bitwise those of the unsegmented algorithm at
+//! every chunk count (the property tests pin this); only the clock
+//! moves.
 //!
-//! The hot path allocates only at protocol start-up: in-flight payload
-//! buffers are *moved* into a dense message-id slab (never cloned —
-//! the one genuine copy, recursive doubling's keep-and-send, goes
-//! through a recycling buffer pool), a rank's own contribution is
-//! folded straight from its input slice instead of materialising a
-//! temporary buffer, and delivered buffers return to the pool.
+//! **Allocation discipline.** Leaves ship their raw input. A rank
+//! materialises an accumulator only when its first contribution comes
+//! from a leaf; otherwise it adopts the arriving partial and folds its
+//! own input into it (addition and exact merges commute, so the bits
+//! are those of "own input first"). Ring hops thus never materialise
+//! one — each chain allocates once, at its first hop, which matters
+//! under `Reproducible` (~576 B per element). In-flight buffers are
+//! *moved* into a dense message-id slab, and retired buffers return to
+//! a recycling pool (which also serves recursive doubling's
+//! keep-and-send copy).
+//!
+//! **The coalescing gate** ([`NetConfig::coalesce_bytes`]) is derived
+//! from the forest: under `ArrivalOrder` coalescing is off exactly when
+//! some rank folds two or more up-children, whose physical arrival
+//! order batching would perturb. Chains (the ring) and the fixed
+//! orderings coalesce freely.
 //!
 //! The cheap shuffle-based path in [`crate::allreduce()`](crate::allreduce::allreduce) remains as a
-//! fallback for experiments that don't need a network model.
+//! fallback for experiments that don't need a network model, and as
+//! the independent reference the bitwise tests compare against.
 
 use crate::allreduce::{Algorithm, Ordering};
 use fpna_net::{
@@ -104,11 +128,12 @@ pub struct NetConfig {
     /// over heavily-segmented small chunks. Deterministic by
     /// construction — batching keys on exact `(time, from, to)` and
     /// sub-messages expand at delivery in injection order — and
-    /// value-invisible wherever the combine order is: the ring and
-    /// recursive doubling (order fixed by construction, every
-    /// ordering), and the tree under `RankOrder`/`Reproducible`.
-    /// The tree under `ArrivalOrder` folds in physical arrival order,
-    /// which coalescing would perturb, so it ignores the threshold.
+    /// value-invisible wherever the combine order is fixed: the ring
+    /// and recursive doubling (every ordering), and every algorithm
+    /// under `RankOrder`/`Reproducible`. Under `ArrivalOrder`, an
+    /// algorithm in which some rank folds two or more children follows
+    /// physical arrival order, which coalescing would perturb, so it
+    /// ignores the threshold.
     pub coalesce_bytes: u64,
 }
 
@@ -176,12 +201,6 @@ impl NetConfig {
     }
 }
 
-/// Engine construction shared by every protocol leg: jitter from the
-/// ordering, contention/routing from the config.
-fn build_sim<'t>(topo: &'t Topology, jitter: JitterModel, config: &NetConfig) -> NetSim<'t> {
-    NetSim::with_fabric(topo, jitter, config.fabric())
-}
-
 /// Result of one simulated allreduce.
 #[derive(Debug, Clone)]
 pub struct NetAllreduce {
@@ -214,11 +233,6 @@ enum Values {
 }
 
 impl Values {
-    /// A placeholder carrying no buffer — what `take` leaves behind.
-    fn empty() -> Self {
-        Values::Plain(Vec::new())
-    }
-
     /// Fold `rhs` into `self` as `self[i] = self[i] + rhs[i]` — the
     /// left operand is the accumulator that has been travelling.
     fn fold_in(&mut self, rhs: &Values) {
@@ -582,9 +596,9 @@ fn jitter_for(ordering: Ordering, config: &NetConfig) -> JitterModel {
     }
 }
 
-/// Largest supported segment (chunk) count — bounded by the ring's
-/// tag packing (chunk id and step share the 32-bit tag space below
-/// the allgather tag base).
+/// Largest supported segment (chunk) count. Every chunk is a tree of
+/// its own in the schedule forest, so this bounds the forest a
+/// segmented ring builds (`p` rank-segments × `segments` chunks).
 pub const MAX_SEGMENTS: usize = 1 << 12;
 
 /// Allreduce (sum) executed as an event-driven protocol on `topo`.
@@ -615,6 +629,7 @@ pub fn allreduce_on(
         topo.ranks(),
         ranks.len()
     );
+    let p = ranks.len();
     let m = ranks[0].len();
     assert!(
         ranks.iter().all(|v| v.len() == m),
@@ -626,52 +641,59 @@ pub fn allreduce_on(
             "segment count must be in 1..={MAX_SEGMENTS}, got {segments}"
         );
     };
-    let jitter = jitter_for(ordering, config);
-    let identity: Vec<usize> = (0..ranks.len()).collect();
     match algorithm {
-        Algorithm::Ring => ring_on(topo, ranks, 1, ordering, config, jitter, &identity),
-        Algorithm::SegmentedRing { segments } => {
-            check_segments(segments);
-            ring_on(topo, ranks, segments, ordering, config, jitter, &identity)
-        }
-        Algorithm::KAryTree { fanout } => {
-            assert!(fanout >= 2, "tree fanout must be at least 2");
-            tree_on(topo, ranks, fanout, 1, ordering, config, jitter)
-        }
+        Algorithm::SegmentedRing { segments } => check_segments(segments),
+        Algorithm::KAryTree { fanout } => assert!(fanout >= 2, "tree fanout must be at least 2"),
         Algorithm::SegmentedTree { fanout, segments } => {
             assert!(fanout >= 2, "tree fanout must be at least 2");
             check_segments(segments);
-            tree_on(topo, ranks, fanout, segments, ordering, config, jitter)
+        }
+        Algorithm::RecursiveDoubling => assert!(
+            p.is_power_of_two(),
+            "recursive doubling needs a power-of-two rank count"
+        ),
+        Algorithm::Hierarchical { intra, inter } => {
+            assert!(intra >= 2 && inter >= 2, "tree fanout must be at least 2")
+        }
+        Algorithm::Ring | Algorithm::FabricRing | Algorithm::DoubleBinaryTree => {}
+    }
+    let exact = matches!(ordering, Ordering::Reproducible);
+    if p == 1 {
+        return NetAllreduce {
+            values: BufferPool::default().values_of(&ranks[0], exact).round(),
+            elapsed_ns: 0.0,
+            stats: RunStats::default(),
+            link_stats: None,
+        };
+    }
+    let jitter = jitter_for(ordering, config);
+    let forest = match algorithm {
+        Algorithm::RecursiveDoubling if exact => {
+            return recursive_doubling_exact_on(topo, ranks, config, jitter)
         }
         Algorithm::RecursiveDoubling => {
-            assert!(
-                ranks.len().is_power_of_two(),
-                "recursive doubling needs a power-of-two rank count"
-            );
-            recursive_doubling_on(topo, ranks, ordering, config, jitter)
+            return recursive_doubling_plain_on(topo, ranks, config, jitter)
+        }
+        Algorithm::Ring => Forest::ring(&(0..p).collect::<Vec<_>>(), m),
+        Algorithm::SegmentedRing { segments } => {
+            Forest::ring(&(0..p).collect::<Vec<_>>(), m).segmented(segments)
+        }
+        Algorithm::FabricRing => Forest::ring(&topo.fabric_ring_order(), m),
+        Algorithm::KAryTree { fanout } => Forest::new(vec![(Shape::kary(p, fanout), 0, m)]),
+        Algorithm::SegmentedTree { fanout, segments } => {
+            Forest::new(vec![(Shape::kary(p, fanout), 0, m)]).segmented(segments)
         }
         Algorithm::Hierarchical { intra, inter } => {
-            assert!(intra >= 2 && inter >= 2, "tree fanout must be at least 2");
-            hierarchical_on(topo, ranks, intra, inter, ordering, config, jitter)
+            Forest::new(vec![(Shape::hierarchical(topo, intra, inter), 0, m)])
         }
-        Algorithm::FabricRing => {
-            let order = topo.fabric_ring_order();
-            ring_on(topo, ranks, 1, ordering, config, jitter, &order)
-        }
-        Algorithm::DoubleBinaryTree => {
-            double_binary_tree_on(topo, ranks, ordering, config, jitter)
-        }
-    }
+        Algorithm::DoubleBinaryTree => Forest::double_binary_tree(p, m),
+    };
+    run_forest(topo, ranks, &forest, ordering, config, jitter)
 }
 
-/// Tree tags: `(chunk << 1) | direction`.
+/// Forest tags: `(tree << 1) | direction`.
 const TAG_UP: u64 = 0;
 const TAG_DOWN: u64 = 1;
-/// Ring reduce-scatter tags are `(chunk << RING_CHUNK_SHIFT) | step`;
-/// allgather tags add [`TAG_AG_BASE`] and carry the segment owner in
-/// the step bits.
-const RING_CHUNK_SHIFT: u64 = 20;
-const TAG_AG_BASE: u64 = 1 << 32;
 
 /// Boundaries of chunk `c` (of `k`) inside the index range `lo..hi`.
 fn chunk_bounds(lo: usize, hi: usize, k: usize, c: usize) -> (usize, usize) {
@@ -698,768 +720,456 @@ fn raw_wire_bytes(xs: &[f64], exact: bool) -> u64 {
     }
 }
 
-/// K-ary reduction tree rooted at rank 0 (children of `v` are
-/// `f·v + 1 ..= f·v + f`), then a broadcast of the rounded result down
-/// the same tree. Fold order at each node: own buffer first, then
-/// children — in simulated-arrival order, or buffered into rank order.
-///
-/// With `segments > 1` the payload is cut into that many chunks, each
-/// reduced and broadcast through the same tree as an independent
-/// message stream; per element the fold order is unchanged, so values
-/// are bitwise those of the unsegmented tree (per ordering), while
-/// chunk `i+1` serializes behind chunk `i` and the levels pipeline.
-fn tree_on(
-    topo: &Topology,
-    ranks: &[Vec<f64>],
-    fanout: usize,
-    segments: usize,
-    ordering: Ordering,
-    config: &NetConfig,
-    jitter: JitterModel,
-) -> NetAllreduce {
-    let p = ranks.len();
-    let m = ranks[0].len();
-    let k = segments;
-    let exact = matches!(ordering, Ordering::Reproducible);
-    let rank_order = matches!(ordering, Ordering::RankOrder);
-    let parent = |v: usize| (v - 1) / fanout;
-    let children = |v: usize| (1..=fanout).map(move |c| fanout * v + c).filter(move |&c| c < p);
+/// Per-rank child lists in compressed rows: rank `v`'s children are
+/// `list[start[v]..start[v + 1]]`.
+#[derive(Debug, Clone)]
+struct Adjacency {
+    start: Vec<usize>,
+    list: Vec<usize>,
+}
 
-    let mut pool = BufferPool::default();
-    let is_leaf = |v: usize| fanout * v + 1 >= p;
-    // A leaf's up-message is exactly its input slice: the parent folds
-    // straight from `ranks[leaf]`, so leaves never materialise a
-    // buffer — only internal nodes (which accumulate) do.
-    struct Node {
-        /// Per-chunk accumulator state (internal nodes only).
-        accs: Vec<Values>,
-        /// Per-chunk count of children still owing a contribution.
-        pending: Vec<usize>,
-        /// Per-chunk buffered child contributions (rank-order mode):
-        /// the child rank, plus its payload for internal children
-        /// (`None` marks a leaf child, folded from its input slice).
-        buffered: Vec<Vec<(usize, Option<Values>)>>,
-    }
-    let mut nodes: Vec<Node> = (0..p)
-        .map(|v| Node {
-            accs: if is_leaf(v) && v != 0 {
-                Vec::new()
-            } else {
-                (0..k)
-                    .map(|c| {
-                        let (lo, hi) = chunk_bounds(0, m, k, c);
-                        pool.values_of(&ranks[v][lo..hi], exact)
-                    })
-                    .collect()
-            },
-            pending: vec![children(v).count(); k],
-            buffered: (0..k).map(|_| Vec::new()).collect(),
-        })
-        .collect();
-
-    if p == 1 {
-        let values = nodes[0]
-            .accs
-            .iter()
-            .flat_map(|acc| acc.round())
-            .collect();
-        return NetAllreduce {
-            values,
-            elapsed_ns: 0.0,
-            stats: RunStats::default(),
-            link_stats: None,
-        };
+impl Adjacency {
+    fn build<I: IntoIterator<Item = usize>>(p: usize, mut children: impl FnMut(usize) -> I) -> Self {
+        let mut start = Vec::with_capacity(p + 1);
+        let mut list = Vec::with_capacity(p);
+        start.push(0);
+        for v in 0..p {
+            list.extend(children(v));
+            start.push(list.len());
+        }
+        Adjacency { start, list }
     }
 
-    let mut sim = build_sim(topo, jitter, config);
-    let mut payloads = Payloads::default();
-    // The tree under `ArrivalOrder` folds children in physical arrival
-    // order, which coalescing would perturb — it ignores the threshold
-    // (see [`NetConfig::coalesce_bytes`]). `RankOrder` buffers into a
-    // deterministic order and `Reproducible` is order-blind, so both
-    // coalesce freely.
-    let mut nic = Nic::new(if matches!(ordering, Ordering::ArrivalOrder { .. }) {
-        0
-    } else {
-        config.coalesce_bytes
-    });
-    let tracing = trace::enabled();
-    let pid = trace::current_pid();
-    // Per-chunk protocol spans: B when the protocol opens the chunk
-    // (t = 0), E once its broadcast has reached every non-root rank —
-    // so pipelining across chunks is visible as overlapping spans.
-    let mut chunk_down_pending: Vec<usize> = Vec::new();
-    if tracing {
-        chunk_down_pending = vec![p - 1; k];
-        for c in 0..k {
-            let lane = trace::CHUNK_TID_BASE + c as u64;
-            trace::name_thread(pid, lane, format!("chunk {c}"));
-            trace::begin(pid, lane, 0.0, format!("chunk{c}"), "coll");
-        }
-    }
-    // Leaves inject their contribution at their staggered start time,
-    // chunks back to back (equal timestamps resolve by injection
-    // order, so chunk 0 hits the first link first and the rest
-    // pipeline behind it — or, under coalescing, share one wire
-    // message per leaf).
-    for (v, own) in ranks.iter().enumerate().skip(1) {
-        if is_leaf(v) {
-            for c in 0..k {
-                let (lo, hi) = chunk_bounds(0, m, k, c);
-                let bytes = raw_wire_bytes(&own[lo..hi], exact);
-                let tag = ((c as u64) << 1) | TAG_UP;
-                nic.send_at(&mut sim, config.stagger_ns * v as f64, v, parent(v), bytes, tag);
-            }
-        }
-    }
-    nic.flush(&mut sim);
-
-    let mut result = vec![0.0f64; m];
-    let mut root_chunks_done = 0usize;
-    let mut elapsed = 0.0f64;
-    let stats = sim.run(|sim, wire| {
-        for d in nic.expand(&wire) {
-        let c = (d.tag >> 1) as usize;
-        match d.tag & 1 {
-            TAG_UP => {
-                let v = d.to;
-                let (lo, hi) = chunk_bounds(0, m, k, c);
-                let payload = if is_leaf(d.from) {
-                    None
-                } else {
-                    Some(payloads.take(d.msg).expect("up message lost its payload"))
-                };
-                if rank_order {
-                    nodes[v].buffered[c].push((d.from, payload));
-                } else {
-                    if tracing {
-                        trace::instant(
-                            pid,
-                            trace::RANK_TID_BASE + v as u64,
-                            d.time,
-                            "combine",
-                            "coll",
-                            vec![("chunk", c.into()), ("child", d.from.into())],
-                        );
-                    }
-                    match payload {
-                        Some(b) => {
-                            nodes[v].accs[c].fold_in(&b);
-                            pool.recycle(b);
-                        }
-                        None => nodes[v].accs[c].fold_in_slice(&ranks[d.from][lo..hi]),
-                    }
-                }
-                nodes[v].pending[c] -= 1;
-                if nodes[v].pending[c] == 0 {
-                    if rank_order {
-                        let mut buffered = std::mem::take(&mut nodes[v].buffered[c]);
-                        buffered.sort_by_key(|&(child, _)| child);
-                        for (child, b) in buffered {
-                            if tracing {
-                                trace::instant(
-                                    pid,
-                                    trace::RANK_TID_BASE + v as u64,
-                                    d.time,
-                                    "combine",
-                                    "coll",
-                                    vec![("chunk", c.into()), ("child", child.into())],
-                                );
-                            }
-                            match b {
-                                Some(b) => {
-                                    nodes[v].accs[c].fold_in(&b);
-                                    pool.recycle(b);
-                                }
-                                None => nodes[v].accs[c].fold_in_slice(&ranks[child][lo..hi]),
-                            }
-                        }
-                    }
-                    if v == 0 {
-                        // Root: one final rounding of this chunk, then
-                        // broadcast its f64s.
-                        result[lo..hi].copy_from_slice(&nodes[0].accs[c].round());
-                        root_chunks_done += 1;
-                        elapsed = elapsed.max(d.time);
-                        for child in children(0) {
-                            let tag = ((c as u64) << 1) | TAG_DOWN;
-                            nic.send_at(sim, d.time, 0, child, ((hi - lo) * 8) as u64, tag);
-                        }
-                    } else {
-                        let acc = std::mem::replace(&mut nodes[v].accs[c], Values::empty());
-                        let bytes = acc.wire_bytes();
-                        let tag = ((c as u64) << 1) | TAG_UP;
-                        let msg = nic.send_at(sim, d.time, v, parent(v), bytes, tag);
-                        payloads.insert(msg, acc);
-                    }
-                }
-            }
-            _ => {
-                let v = d.to;
-                elapsed = elapsed.max(d.time);
-                if tracing {
-                    chunk_down_pending[c] -= 1;
-                    if chunk_down_pending[c] == 0 {
-                        let lane = trace::CHUNK_TID_BASE + c as u64;
-                        trace::end(pid, lane, d.time, format!("chunk{c}"), "coll");
-                    }
-                }
-                for child in children(v) {
-                    nic.send_at(sim, d.time, v, child, d.bytes, d.tag);
-                }
-            }
-        }
-        }
-        nic.flush(sim);
-    });
-
-    assert_eq!(root_chunks_done, k, "tree reduction never completed");
-    NetAllreduce {
-        values: result,
-        elapsed_ns: elapsed,
-        stats,
-        link_stats: collect_link_stats(&sim, config),
+    fn of(&self, v: usize) -> &[usize] {
+        &self.list[self.start[v]..self.start[v + 1]]
     }
 }
 
-/// Ring reduce-scatter + allgather. Segment `s` starts at its owner
-/// rank `s` and walks the ring; each hop computes
-/// `incoming + own_contribution`, so the combine order is fixed by the
-/// rotation and timing only moves the clock, never the bits. The
-/// fully-reduced segment is rounded once (at rank `s − 1 mod p`) and
-/// allgathered as plain `f64`s.
-///
-/// With `segments > 1` each rank-segment is further cut into that many
-/// chunks walking the ring as independent messages — same rotation,
-/// same per-element combine order, so values are bitwise identical to
-/// the unsegmented ring while serialization pipelines across hops.
-///
-/// `order` permutes the ring onto the ranks: ring position `s` is rank
-/// `order[s]`, segment `s` starts at its owner `order[s]` and hops to
-/// `order[(s + 1) % p]`. The identity order is the classic
-/// rank-numbered ring; [`Topology::fabric_ring_order`] keeps
-/// consecutive positions inside the same fabric group so the rotation
-/// crosses the NIC/spine only once per group.
-fn ring_on(
-    topo: &Topology,
-    ranks: &[Vec<f64>],
-    segments: usize,
-    ordering: Ordering,
-    config: &NetConfig,
-    jitter: JitterModel,
-    order: &[usize],
-) -> NetAllreduce {
-    let p = ranks.len();
-    let m = ranks[0].len();
-    let k = segments;
-    let exact = matches!(ordering, Ordering::Reproducible);
-    assert!(p < (1 << RING_CHUNK_SHIFT), "ring tag packing supports < 2^20 ranks");
-    assert_eq!(order.len(), p, "ring order must cover every rank");
-    let pos_of = {
+/// Marks a rank with fewer than two up-children in [`Shape::join`].
+const NO_JOIN: usize = usize::MAX;
+
+/// The wiring of one reduce–broadcast tree over the ranks: who folds
+/// whose contribution, in which order, and who forwards the rounded
+/// result to whom. Segmentation cuts one shape's payload into several
+/// trees, which share it.
+#[derive(Debug)]
+struct Shape {
+    /// Rank holding the fully reduced value: it rounds once and starts
+    /// the broadcast.
+    root: usize,
+    /// Each rank's up-parent (unused at the root).
+    parent: Vec<usize>,
+    /// Each rank's up-children, in fold order.
+    up: Adjacency,
+    /// Each rank's down-children, in send order. Need not mirror `up`:
+    /// the ring broadcasts along its allgather rotation.
+    down: Adjacency,
+    /// Index of each rank among the ranks that join two or more
+    /// up-children (which need per-tree fold state), else [`NO_JOIN`].
+    join: Vec<usize>,
+    /// Number of such ranks.
+    joins: usize,
+}
+
+impl Shape {
+    fn new(root: usize, up: Adjacency, down: Adjacency) -> Self {
+        let p = up.start.len() - 1;
+        let mut parent = vec![usize::MAX; p];
+        for v in 0..p {
+            for &c in up.of(v) {
+                parent[c] = v;
+            }
+        }
+        debug_assert!(
+            (0..p).all(|v| (v == root) == (parent[v] == usize::MAX)),
+            "up edges must span the ranks from the root"
+        );
+        debug_assert_eq!(down.list.len(), p - 1, "broadcast must reach every other rank once");
+        let mut joins = 0;
+        let join = (0..p)
+            .map(|v| {
+                if up.of(v).len() < 2 {
+                    return NO_JOIN;
+                }
+                joins += 1;
+                joins - 1
+            })
+            .collect();
+        Shape { root, parent, up, down, join, joins }
+    }
+
+    /// Fanout-`f` tree rooted at rank 0 (children of `v` are
+    /// `f·v + 1 ..= f·v + f`), broadcasting back down the same edges.
+    fn kary(p: usize, f: usize) -> Self {
+        let up = Adjacency::build(p, |v| (1..=f).map(move |c| f * v + c).filter(move |&c| c < p));
+        Shape::new(0, up.clone(), up)
+    }
+
+    /// Topology-aware hierarchical tree: an `intra`-ary tree inside
+    /// every fabric group rooted at the group leader (its smallest
+    /// rank), an `inter`-ary tree over the leaders in group order.
+    /// Leaders fold their intra-group children before their
+    /// inter-group ones and forward the result to inter-group children
+    /// before intra-group ones, so only the leader tree crosses the
+    /// NIC/spine links.
+    fn hierarchical(topo: &Topology, intra: usize, inter: usize) -> Self {
+        let p = topo.ranks();
+        let groups = topo.num_groups();
+        let leader = |g: usize| topo.group_ranks(g)[0];
+        let intra_children = |r: usize| {
+            let members = topo.group_ranks(topo.group_of(r));
+            let i = members.binary_search(&r).expect("rank missing from its own fabric group");
+            (1..=intra)
+                .map(move |c| intra * i + c)
+                .filter(move |&c| c < members.len())
+                .map(move |c| members[c])
+        };
+        let inter_children = |r: usize| {
+            let g = topo.group_of(r);
+            let is_leader = leader(g) == r;
+            (1..=inter)
+                .map(move |c| inter * g + c)
+                .filter(move |&c| is_leader && c < groups)
+                .map(leader)
+        };
+        let up = Adjacency::build(p, |r| intra_children(r).chain(inter_children(r)));
+        let down = Adjacency::build(p, |r| inter_children(r).chain(intra_children(r)));
+        Shape::new(leader(0), up, down)
+    }
+}
+
+/// One tree of a forest: a shape and the payload range it reduces.
+#[derive(Debug, Clone, Copy)]
+struct Tree {
+    shape: usize,
+    lo: usize,
+    hi: usize,
+}
+
+/// A reduce–broadcast forest: the schedule every forest-shaped
+/// allreduce runs. Each tree reduces its payload range up its shape's
+/// edges to its root, which rounds once and broadcasts down.
+#[derive(Debug)]
+struct Forest {
+    shapes: Vec<Shape>,
+    trees: Vec<Tree>,
+    /// The initial leaf sends `(tree, rank)`, in injection order.
+    leaf_sends: Vec<(usize, usize)>,
+}
+
+impl Forest {
+    /// One tree per `(shape, lo, hi)`; leaves inject tree by tree, in
+    /// ascending rank order within each tree.
+    fn new(parts: Vec<(Shape, usize, usize)>) -> Self {
+        let mut shapes = Vec::with_capacity(parts.len());
+        let mut trees = Vec::with_capacity(parts.len());
+        let mut leaf_sends = Vec::new();
+        for (t, (shape, lo, hi)) in parts.into_iter().enumerate() {
+            let p = shape.parent.len();
+            leaf_sends.extend(
+                (0..p)
+                    .filter(|&r| r != shape.root && shape.up.of(r).is_empty())
+                    .map(|r| (t, r)),
+            );
+            trees.push(Tree { shape: t, lo, hi });
+            shapes.push(shape);
+        }
+        Forest { shapes, trees, leaf_sends }
+    }
+
+    /// Ring reduce-scatter + allgather as `p` chain trees on the ring
+    /// `order` (position `s` is rank `order[s]`). Chain `s` reduces
+    /// rank-segment `s`: it starts at its owner `order[s]`, each hop
+    /// folds the next position's contribution, and the position before
+    /// the owner ends it as root. Its broadcast then follows the
+    /// allgather rotation — root → owner → … → the position two before
+    /// the owner — rather than retracing the chain.
+    fn ring(order: &[usize], m: usize) -> Self {
+        let p = order.len();
         let mut pos = vec![0usize; p];
         for (s, &r) in order.iter().enumerate() {
             pos[r] = s;
         }
-        pos
-    };
-    let seg_len = m.div_ceil(p);
-    let bounds = |s: usize| ((s * seg_len).min(m), ((s + 1) * seg_len).min(m));
-    let chunk_of = |s: usize, c: usize| {
-        let (lo, hi) = bounds(s);
-        chunk_bounds(lo, hi, k, c)
-    };
-
-    let mut pool = BufferPool::default();
-    let mut out = vec![0.0f64; m];
-    if p == 1 {
-        return NetAllreduce {
-            values: pool.values_of(&ranks[0], exact).round(),
-            elapsed_ns: 0.0,
-            stats: RunStats::default(),
-            link_stats: None,
-        };
+        let seg_len = m.div_ceil(p);
+        let parts = (0..p)
+            .map(|s| {
+                // Rank `j` hops along chain `s`, and a rank's hop index.
+                let at = |j: usize| order[(s + j) % p];
+                let hop = |r: usize| (pos[r] + p - s) % p;
+                let up = Adjacency::build(p, |r| (hop(r) > 0).then(|| at(hop(r) - 1)));
+                let down = Adjacency::build(p, |r| (hop(r) != p - 2).then(|| at(hop(r) + 1)));
+                let shape = Shape::new(at(p - 1), up, down);
+                (shape, (s * seg_len).min(m), ((s + 1) * seg_len).min(m))
+            })
+            .collect();
+        Forest::new(parts)
     }
 
-    let mut sim = build_sim(topo, jitter, config);
+    /// Double binary tree, NCCL-style: binary tree 0 over ranks in
+    /// identity order reduces the lower half of the payload, tree 1
+    /// over the mirrored ranks `p − 1 − v` the upper half — interior
+    /// ranks of one tree are leaves of the other, so each link carries
+    /// about half the bytes of a single tree. Both fold and broadcast
+    /// in ascending *virtual* id order.
+    fn double_binary_tree(p: usize, m: usize) -> Self {
+        let h = m.div_ceil(2);
+        let mirrored = |t: usize| {
+            // An involution: the virtual id of a rank, and the rank of
+            // a virtual id.
+            let virt = move |r: usize| if t == 0 { r } else { p - 1 - r };
+            let up = Adjacency::build(p, |r| {
+                let v = virt(r);
+                (1..=2).map(move |c| 2 * v + c).filter(move |&c| c < p).map(virt)
+            });
+            Shape::new(virt(0), up.clone(), up)
+        };
+        Forest::new(vec![(mirrored(0), 0, h), (mirrored(1), h, m)])
+    }
+
+    /// Segmentation as a schedule transform: cut every tree's range
+    /// into `k` chunks, each an independent tree over the same shape.
+    /// Each element stays in exactly one chunk with its tree's fold
+    /// order, so values are bitwise those of the unsegmented forest;
+    /// a leaf injects its chunks back to back, so chunk `i+1`
+    /// serializes while chunk `i` propagates.
+    fn segmented(self, k: usize) -> Self {
+        let trees = self
+            .trees
+            .iter()
+            .flat_map(|t| {
+                (0..k).map(move |c| {
+                    let (lo, hi) = chunk_bounds(t.lo, t.hi, k, c);
+                    Tree { lo, hi, ..*t }
+                })
+            })
+            .collect();
+        let leaf_sends = self
+            .leaf_sends
+            .iter()
+            .flat_map(|&(t, r)| (0..k).map(move |c| (t * k + c, r)))
+            .collect();
+        Forest { shapes: self.shapes, trees, leaf_sends }
+    }
+}
+
+/// Fold state of a rank joining two or more up-children in one tree.
+#[derive(Debug)]
+struct Join {
+    /// Children still owing a contribution.
+    pending: usize,
+    /// Running sum (arrival order), absent until the first arrival.
+    acc: Option<Values>,
+    /// Contributions held by fold-list position until all are in (rank
+    /// order); `None` marks a leaf child, folded from its input slice.
+    held: Vec<Option<Values>>,
+}
+
+/// Fold one child's contribution into a rank's running sum, own input
+/// first. The first fold adopts the child's travelling buffer and adds
+/// `own` to it — IEEE addition and exact merges commute, so
+/// `child + own` has the bits of `own + child` — and only a leaf
+/// child, which ships its raw input, makes the rank materialise a
+/// buffer. `travelling` is the child's buffer; `None` means the child
+/// is a leaf whose contribution is `input`.
+fn fold_child(
+    pool: &mut BufferPool,
+    acc: Option<Values>,
+    own: &[f64],
+    travelling: Option<Values>,
+    input: &[f64],
+    exact: bool,
+) -> Values {
+    match (acc, travelling) {
+        (None, Some(mut b)) => {
+            b.fold_in_slice(own);
+            b
+        }
+        (None, None) => {
+            let mut a = pool.values_of(own, exact);
+            a.fold_in_slice(input);
+            a
+        }
+        (Some(mut a), Some(b)) => {
+            a.fold_in(&b);
+            pool.recycle(b);
+            a
+        }
+        (Some(mut a), None) => {
+            a.fold_in_slice(input);
+            a
+        }
+    }
+}
+
+/// Run a reduce–broadcast forest as an event-driven protocol.
+///
+/// Leaves inject their raw input at their staggered start time. A rank
+/// with one up-child folds its own input into the arriving partial and
+/// passes it on at once. A rank with several folds them in arrival
+/// order (`ArrivalOrder`, `Reproducible`) or holds them until all are
+/// in and folds them in fold-list order (`RankOrder`). Every fold
+/// starts from the rank's own input, so the root holds the tree's sum,
+/// rounds it once and broadcasts the `f64`s down the tree.
+fn run_forest(
+    topo: &Topology,
+    ranks: &[Vec<f64>],
+    forest: &Forest,
+    ordering: Ordering,
+    config: &NetConfig,
+    jitter: JitterModel,
+) -> NetAllreduce {
+    let p = ranks.len();
+    let m = ranks[0].len();
+    let exact = matches!(ordering, Ordering::Reproducible);
+    let rank_order = matches!(ordering, Ordering::RankOrder);
+    let Forest { shapes, trees, leaf_sends } = forest;
+
+    // Fold state for every (tree, joining rank): tree `t`'s block
+    // starts at `join_base[t]`.
+    let mut join_base = Vec::with_capacity(trees.len());
+    let mut joins = Vec::new();
+    for tree in trees {
+        let shape = &shapes[tree.shape];
+        join_base.push(joins.len());
+        joins.extend((0..p).filter(|&v| shape.join[v] != NO_JOIN).map(|v| Join {
+            pending: shape.up.of(v).len(),
+            acc: None,
+            held: Vec::new(),
+        }));
+    }
+
+    let mut pool = BufferPool::default();
+    let mut sim = NetSim::with_fabric(topo, jitter, config.fabric());
     let mut payloads = Payloads::default();
-    // The ring's combine order is fixed by the rotation, so coalescing
-    // is value-invisible under every ordering.
-    let mut nic = Nic::new(config.coalesce_bytes);
+    // An arrival-order fold at a rank with several children follows
+    // physical arrival order, which coalescing would perturb, so such
+    // a forest ignores the threshold (see [`NetConfig::coalesce_bytes`]).
+    // Chains (the ring) and deterministic fold orders coalesce freely.
+    let folds_by_arrival =
+        matches!(ordering, Ordering::ArrivalOrder { .. }) && shapes.iter().any(|s| s.joins > 0);
+    let mut nic = Nic::new(if folds_by_arrival { 0 } else { config.coalesce_bytes });
     let tracing = trace::enabled();
     let pid = trace::current_pid();
-    // Step 0: every rank sends its own copy of its own segment, chunk
-    // by chunk (empty chunks still circulate as 0-byte messages so the
-    // protocol shape is uniform at every segment count).
-    for (s, &r) in order.iter().enumerate() {
-        for c in 0..k {
-            let (lo, hi) = chunk_of(s, c);
-            let seg = pool.values_of(&ranks[r][lo..hi], exact);
-            let bytes = seg.wire_bytes();
-            let tag = (c as u64) << RING_CHUNK_SHIFT;
-            let msg =
-                nic.send_at(&mut sim, config.stagger_ns * r as f64, r, order[(s + 1) % p], bytes, tag);
-            payloads.insert(msg, seg);
-            if tracing {
-                // Span per travelling chunk: B at injection, E at its
-                // single rounding (reduce-scatter complete).
-                let lane = trace::CHUNK_TID_BASE + (s * k + c) as u64;
-                trace::name_thread(pid, lane, format!("seg {s} chunk {c}"));
-                trace::begin(pid, lane, config.stagger_ns * r as f64, format!("seg{s}.chunk{c}"), "coll");
-            }
+    // Per-tree spans: B when the collective opens (t = 0), E once the
+    // tree's broadcast has reached every non-root rank — so pipelined
+    // chunks show up as overlapping spans.
+    if tracing {
+        for t in 0..trees.len() {
+            let lane = trace::CHUNK_TID_BASE + t as u64;
+            trace::name_thread(pid, lane, format!("chunk {t}"));
+            trace::begin(pid, lane, 0.0, format!("chunk{t}"), "coll");
         }
     }
-
-    nic.flush(&mut sim);
-
-    let step_mask = (1u64 << RING_CHUNK_SHIFT) - 1;
-    let mut elapsed = 0.0f64;
-    let stats = sim.run(|sim, wire| {
-        for d in nic.expand(&wire) {
-        elapsed = elapsed.max(d.time);
-        if d.tag < TAG_AG_BASE {
-            // Reduce-scatter step `s`: fold our contribution under the
-            // travelling partial for chunk c of segment
-            // (pos(from) − s) mod p.
-            let s = (d.tag & step_mask) as usize;
-            let c = (d.tag >> RING_CHUNK_SHIFT) as usize;
-            let r = d.to;
-            let z = (pos_of[d.from] + p - s) % p;
-            let (lo, hi) = chunk_of(z, c);
-            let mut acc = payloads.take(d.msg).expect("ring partial lost");
-            acc.fold_in_slice(&ranks[r][lo..hi]);
-            if tracing {
-                trace::instant(
-                    pid,
-                    trace::RANK_TID_BASE + r as u64,
-                    d.time,
-                    "combine",
-                    "coll",
-                    vec![("seg", z.into()), ("chunk", c.into()), ("step", s.into())],
-                );
-            }
-            if s + 1 < p - 1 {
-                let bytes = acc.wire_bytes();
-                let tag = ((c as u64) << RING_CHUNK_SHIFT) | (s as u64 + 1);
-                let msg = nic.send_at(sim, d.time, r, order[(pos_of[r] + 1) % p], bytes, tag);
-                payloads.insert(msg, acc);
-            } else {
-                // Chunk complete: single rounding, then allgather.
-                if tracing {
-                    let lane = trace::CHUNK_TID_BASE + (z * k + c) as u64;
-                    trace::end(pid, lane, d.time, format!("seg{z}.chunk{c}"), "coll");
-                }
-                let rounded = acc.round();
-                pool.recycle(acc);
-                out[lo..hi].copy_from_slice(&rounded);
-                let bytes = (rounded.len() * 8) as u64;
-                let tag = TAG_AG_BASE + (((c as u64) << RING_CHUNK_SHIFT) | z as u64);
-                let msg = nic.send_at(sim, d.time, r, order[(pos_of[r] + 1) % p], bytes, tag);
-                payloads.insert(msg, Values::Plain(rounded));
-            }
-        } else {
-            // Allgather: forward the finished chunk around the ring
-            // until it is one position short of its finisher.
-            let z = ((d.tag - TAG_AG_BASE) & step_mask) as usize;
-            let finisher = (z + p - 1) % p;
-            let t = d.to;
-            let acc = payloads.take(d.msg).expect("allgather segment lost");
-            if (pos_of[t] + 1) % p != finisher {
-                let bytes = acc.wire_bytes();
-                let msg = nic.send_at(sim, d.time, t, order[(pos_of[t] + 1) % p], bytes, d.tag);
-                payloads.insert(msg, acc);
-            } else {
-                pool.recycle(acc);
-            }
-        }
-        }
-        nic.flush(sim);
-    });
-
-    NetAllreduce {
-        values: out,
-        elapsed_ns: elapsed,
-        stats,
-        link_stats: collect_link_stats(&sim, config),
-    }
-}
-
-/// Hierarchical phase tags (single chunk, so the whole tag is the
-/// phase id).
-const H_INTRA_UP: u64 = 0;
-const H_INTER_UP: u64 = 1;
-const H_INTER_DOWN: u64 = 2;
-const H_INTRA_DOWN: u64 = 3;
-
-/// Topology-aware hierarchical allreduce: an `intra`-ary reduction
-/// tree inside every fabric group (rooted at the group leader, the
-/// group's smallest rank), an `inter`-ary tree over the leaders in
-/// group order, then the rounded result broadcast back down both
-/// levels. Only the inter phase crosses fabric groups, so the
-/// NIC/spine links carry one payload per group instead of one per
-/// rank. Value semantics match
-/// [`hierarchical_in_memory`](crate::allreduce::hierarchical_in_memory)
-/// over the fabric groups (per ordering); under `Reproducible` the
-/// travelling exact accumulators make the bits identical to every
-/// oblivious baseline.
-fn hierarchical_on(
-    topo: &Topology,
-    ranks: &[Vec<f64>],
-    intra: usize,
-    inter: usize,
-    ordering: Ordering,
-    config: &NetConfig,
-    jitter: JitterModel,
-) -> NetAllreduce {
-    let p = ranks.len();
-    let m = ranks[0].len();
-    let exact = matches!(ordering, Ordering::Reproducible);
-    let rank_order = matches!(ordering, Ordering::RankOrder);
-    let num_groups = topo.num_groups();
-
-    let mut pool = BufferPool::default();
-    if p == 1 {
-        return NetAllreduce {
-            values: pool.values_of(&ranks[0], exact).round(),
-            elapsed_ns: 0.0,
-            stats: RunStats::default(),
-            link_stats: None,
-        };
-    }
-
-    // Virtual coordinates: the member index inside the group (leader =
-    // member 0) for the intra trees, the group id for the inter tree.
-    // Members and group leaders are both rank-ascending, so sorting
-    // buffered children by physical rank is sorting by virtual index.
-    let group_of: Vec<usize> = (0..p).map(|r| topo.group_of(r)).collect();
-    let member_idx: Vec<usize> = (0..p)
-        .map(|r| {
-            topo.group_ranks(group_of[r])
-                .iter()
-                .position(|&x| x == r)
-                .expect("rank missing from its own fabric group")
-        })
-        .collect();
-    let leader = |g: usize| topo.group_ranks(g)[0];
-    let is_leader = |r: usize| member_idx[r] == 0;
-    let intra_children = |r: usize| {
-        let members = topo.group_ranks(group_of[r]);
-        let i = member_idx[r];
-        (1..=intra)
-            .map(move |c| intra * i + c)
-            .filter(move |&c| c < members.len())
-            .map(move |c| members[c])
+    let combine = |rank: usize, time: f64, t: usize, child: usize| {
+        trace::instant(
+            pid,
+            trace::RANK_TID_BASE + rank as u64,
+            time,
+            "combine",
+            "coll",
+            vec![("chunk", t.into()), ("child", child.into())],
+        );
     };
-    let inter_children = |g: usize| {
-        (1..=inter)
-            .map(move |c| inter * g + c)
-            .filter(move |&c| c < num_groups)
-            .map(leader)
-    };
-    // Where a finished accumulator goes: leaders climb the inter tree
-    // (the root, leader of group 0 = rank 0, keeps it), everyone else
-    // climbs their group's intra tree.
-    let up_target = |r: usize| -> Option<(usize, u64)> {
-        if is_leader(r) {
-            let g = group_of[r];
-            (g != 0).then(|| (leader((g - 1) / inter), H_INTER_UP))
-        } else {
-            let members = topo.group_ranks(group_of[r]);
-            Some((members[(member_idx[r] - 1) / intra], H_INTRA_UP))
-        }
-    };
-
-    // A rank with nothing to wait for ships its input slice directly
-    // (never materialising an accumulator): intra leaves, and
-    // singleton-group leaders that are also inter leaves.
-    let mut pending: Vec<usize> = (0..p)
-        .map(|r| {
-            intra_children(r).count()
-                + if is_leader(r) { inter_children(group_of[r]).count() } else { 0 }
-        })
-        .collect();
-    let sends_raw: Vec<bool> = (0..p).map(|r| pending[r] == 0).collect();
-    let mut accs: Vec<Values> = (0..p)
-        .map(|r| {
-            if sends_raw[r] {
-                Values::empty()
-            } else {
-                pool.values_of(&ranks[r], exact)
-            }
-        })
-        .collect();
-    // Rank-order mode buffers every contribution and folds once all
-    // are in, keyed `(phase, child rank)` — intra children ascending,
-    // then inter children ascending, matching the in-memory fold.
-    let mut buffered: Vec<Vec<(u64, usize, Option<Values>)>> =
-        (0..p).map(|_| Vec::new()).collect();
-
-    let mut sim = build_sim(topo, jitter, config);
-    let mut payloads = Payloads::default();
-    // Same coalescing rule as the k-ary tree: arrival order folds in
-    // physical arrival order, which coalescing would perturb.
-    let mut nic = Nic::new(if matches!(ordering, Ordering::ArrivalOrder { .. }) {
-        0
-    } else {
-        config.coalesce_bytes
-    });
-    for r in 1..p {
-        if sends_raw[r] {
-            let (to, tag) = up_target(r).expect("non-root raw sender has an up target");
-            let bytes = raw_wire_bytes(&ranks[r], exact);
-            nic.send_at(&mut sim, config.stagger_ns * r as f64, r, to, bytes, tag);
-        }
-    }
-    nic.flush(&mut sim);
-
-    let mut result = vec![0.0f64; m];
-    let mut root_done = false;
-    let mut down_seen = 0usize;
-    let mut elapsed = 0.0f64;
-    let stats = sim.run(|sim, wire| {
-        for d in nic.expand(&wire) {
-            match d.tag {
-                H_INTRA_UP | H_INTER_UP => {
-                    let v = d.to;
-                    let payload = if sends_raw[d.from] {
-                        None
-                    } else {
-                        Some(payloads.take(d.msg).expect("up message lost its payload"))
-                    };
-                    if rank_order {
-                        buffered[v].push((d.tag, d.from, payload));
-                    } else {
-                        match payload {
-                            Some(b) => {
-                                accs[v].fold_in(&b);
-                                pool.recycle(b);
-                            }
-                            None => accs[v].fold_in_slice(&ranks[d.from]),
-                        }
-                    }
-                    pending[v] -= 1;
-                    if pending[v] == 0 {
-                        if rank_order {
-                            let mut b = std::mem::take(&mut buffered[v]);
-                            b.sort_by_key(|&(tag, from, _)| (tag, from));
-                            for (_, from, payload) in b {
-                                match payload {
-                                    Some(x) => {
-                                        accs[v].fold_in(&x);
-                                        pool.recycle(x);
-                                    }
-                                    None => accs[v].fold_in_slice(&ranks[from]),
-                                }
-                            }
-                        }
-                        match up_target(v) {
-                            Some((to, tag)) => {
-                                let acc = std::mem::replace(&mut accs[v], Values::empty());
-                                let bytes = acc.wire_bytes();
-                                let msg = nic.send_at(sim, d.time, v, to, bytes, tag);
-                                payloads.insert(msg, acc);
-                            }
-                            None => {
-                                // Root: the single rounding, then the
-                                // two-level broadcast.
-                                result.copy_from_slice(&accs[0].round());
-                                root_done = true;
-                                elapsed = elapsed.max(d.time);
-                                let bytes = (m * 8) as u64;
-                                for child in inter_children(0) {
-                                    nic.send_at(sim, d.time, 0, child, bytes, H_INTER_DOWN);
-                                }
-                                for child in intra_children(0) {
-                                    nic.send_at(sim, d.time, 0, child, bytes, H_INTRA_DOWN);
-                                }
-                            }
-                        }
-                    }
-                }
-                _ => {
-                    let v = d.to;
-                    elapsed = elapsed.max(d.time);
-                    down_seen += 1;
-                    if d.tag == H_INTER_DOWN {
-                        for child in inter_children(group_of[v]) {
-                            nic.send_at(sim, d.time, v, child, d.bytes, H_INTER_DOWN);
-                        }
-                    }
-                    for child in intra_children(v) {
-                        nic.send_at(sim, d.time, v, child, d.bytes, H_INTRA_DOWN);
-                    }
-                }
-            }
-        }
-        nic.flush(sim);
-    });
-
-    assert!(root_done, "hierarchical reduction never completed");
-    assert_eq!(down_seen, p - 1, "hierarchical broadcast never completed");
-    NetAllreduce {
-        values: result,
-        elapsed_ns: elapsed,
-        stats,
-        link_stats: collect_link_stats(&sim, config),
-    }
-}
-
-/// Double binary tree, NCCL-style: two complementary binary trees run
-/// in the same simulation, tree 0 over virtual ids `v = rank` reducing
-/// the lower half of the payload, tree 1 over the mirrored ids
-/// `v = p − 1 − rank` reducing the upper half — interior ranks of one
-/// tree are leaves of the other, so each link carries roughly half the
-/// bytes of a single tree. Tags are `(tree << 1) | direction`. Value
-/// semantics match
-/// [`double_binary_tree_in_memory`](crate::allreduce::double_binary_tree_in_memory)
-/// (per ordering); under `Reproducible` each half folds exactly and
-/// rounds once, bitwise those of every oblivious baseline.
-fn double_binary_tree_on(
-    topo: &Topology,
-    ranks: &[Vec<f64>],
-    ordering: Ordering,
-    config: &NetConfig,
-    jitter: JitterModel,
-) -> NetAllreduce {
-    let p = ranks.len();
-    let m = ranks[0].len();
-    let exact = matches!(ordering, Ordering::Reproducible);
-    let rank_order = matches!(ordering, Ordering::RankOrder);
-    let h = m.div_ceil(2);
-    let range = |t: usize| if t == 0 { (0, h) } else { (h, m) };
-    // An involution: virtual id of a rank in tree `t`, and equally the
-    // physical rank of a virtual id.
-    let virt = |t: usize, r: usize| if t == 0 { r } else { p - 1 - r };
-    let vchildren = |v: usize| (1..=2).map(move |c| 2 * v + c).filter(move |&c| c < p);
-    let is_vleaf = |v: usize| 2 * v + 1 >= p;
-
-    let mut pool = BufferPool::default();
-    if p == 1 {
-        return NetAllreduce {
-            values: pool.values_of(&ranks[0], exact).round(),
-            elapsed_ns: 0.0,
-            stats: RunStats::default(),
-            link_stats: None,
-        };
-    }
-
-    // State for rank `r` in tree `t` lives at index `t·p + r`. Leaves
-    // ship their input slice directly and never materialise a buffer.
-    let mut accs: Vec<Values> = Vec::with_capacity(2 * p);
-    let mut pending = vec![0usize; 2 * p];
-    for t in 0..2 {
-        let (lo, hi) = range(t);
-        for r in 0..p {
-            let v = virt(t, r);
-            accs.push(if is_vleaf(v) && v != 0 {
-                Values::empty()
-            } else {
-                pool.values_of(&ranks[r][lo..hi], exact)
-            });
-            pending[t * p + r] = vchildren(v).count();
-        }
-    }
-    // Rank-order buffers sort by *virtual* child id — in tree 1 that
-    // is descending physical rank, matching the in-memory fold.
-    let mut buffered: Vec<Vec<(usize, Option<Values>)>> =
-        (0..2 * p).map(|_| Vec::new()).collect();
-
-    let mut sim = build_sim(topo, jitter, config);
-    let mut payloads = Payloads::default();
-    let mut nic = Nic::new(if matches!(ordering, Ordering::ArrivalOrder { .. }) {
-        0
-    } else {
-        config.coalesce_bytes
-    });
-    for t in 0..2 {
-        let (lo, hi) = range(t);
-        for (r, own) in ranks.iter().enumerate() {
-            let v = virt(t, r);
-            if is_vleaf(v) && v != 0 {
-                let bytes = raw_wire_bytes(&own[lo..hi], exact);
-                let tag = ((t as u64) << 1) | TAG_UP;
-                nic.send_at(&mut sim, config.stagger_ns * r as f64, r, virt(t, (v - 1) / 2), bytes, tag);
-            }
-        }
+    // Leaves ship their input slice (never materialising a buffer);
+    // equal timestamps resolve by injection order, so a leaf's chunks
+    // pipeline behind each other — or, under coalescing, share one
+    // wire message.
+    for &(t, r) in leaf_sends {
+        let Tree { shape, lo, hi } = trees[t];
+        let bytes = raw_wire_bytes(&ranks[r][lo..hi], exact);
+        let to = shapes[shape].parent[r];
+        nic.send_at(&mut sim, config.stagger_ns * r as f64, r, to, bytes, ((t as u64) << 1) | TAG_UP);
     }
     nic.flush(&mut sim);
 
     let mut result = vec![0.0f64; m];
     let mut roots_done = 0usize;
+    let mut down_left = vec![p - 1; trees.len()];
     let mut elapsed = 0.0f64;
     let stats = sim.run(|sim, wire| {
         for d in nic.expand(&wire) {
             let t = (d.tag >> 1) as usize;
-            let (lo, hi) = range(t);
-            match d.tag & 1 {
-                TAG_UP => {
-                    let r = d.to;
-                    let i = t * p + r;
-                    let payload = if is_vleaf(virt(t, d.from)) {
-                        None
-                    } else {
-                        Some(payloads.take(d.msg).expect("up message lost its payload"))
-                    };
-                    if rank_order {
-                        buffered[i].push((virt(t, d.from), payload));
-                    } else {
-                        match payload {
-                            Some(b) => {
-                                accs[i].fold_in(&b);
-                                pool.recycle(b);
-                            }
-                            None => accs[i].fold_in_slice(&ranks[d.from][lo..hi]),
-                        }
-                    }
-                    pending[i] -= 1;
-                    if pending[i] == 0 {
-                        let v = virt(t, r);
-                        if rank_order {
-                            let mut b = std::mem::take(&mut buffered[i]);
-                            b.sort_by_key(|&(vc, _)| vc);
-                            for (vc, payload) in b {
-                                match payload {
-                                    Some(x) => {
-                                        accs[i].fold_in(&x);
-                                        pool.recycle(x);
-                                    }
-                                    None => {
-                                        accs[i].fold_in_slice(&ranks[virt(t, vc)][lo..hi])
-                                    }
-                                }
-                            }
-                        }
-                        if v == 0 {
-                            // This tree's root: round its half, then
-                            // broadcast it down the same tree.
-                            result[lo..hi].copy_from_slice(&accs[i].round());
-                            roots_done += 1;
-                            elapsed = elapsed.max(d.time);
-                            for vc in vchildren(0) {
-                                let tag = ((t as u64) << 1) | TAG_DOWN;
-                                nic.send_at(sim, d.time, r, virt(t, vc), ((hi - lo) * 8) as u64, tag);
-                            }
-                        } else {
-                            let acc = std::mem::replace(&mut accs[i], Values::empty());
-                            let bytes = acc.wire_bytes();
-                            let tag = ((t as u64) << 1) | TAG_UP;
-                            let msg = nic.send_at(sim, d.time, r, virt(t, (v - 1) / 2), bytes, tag);
-                            payloads.insert(msg, acc);
-                        }
-                    }
+            let Tree { shape, lo, hi } = trees[t];
+            let s = &shapes[shape];
+            let v = d.to;
+            if d.tag & 1 == TAG_DOWN {
+                elapsed = elapsed.max(d.time);
+                down_left[t] -= 1;
+                if tracing && down_left[t] == 0 {
+                    let lane = trace::CHUNK_TID_BASE + t as u64;
+                    trace::end(pid, lane, d.time, format!("chunk{t}"), "coll");
                 }
-                _ => {
-                    let r = d.to;
-                    elapsed = elapsed.max(d.time);
-                    for vc in vchildren(virt(t, r)) {
-                        nic.send_at(sim, d.time, r, virt(t, vc), d.bytes, d.tag);
-                    }
+                for &c in s.down.of(v) {
+                    nic.send_at(sim, d.time, v, c, d.bytes, d.tag);
                 }
+                continue;
+            }
+            let travelling = if s.up.of(d.from).is_empty() {
+                None
+            } else {
+                Some(payloads.take(d.msg).expect("up message lost its payload"))
+            };
+            let own = &ranks[v][lo..hi];
+            let acc = if s.join[v] == NO_JOIN {
+                if tracing {
+                    combine(v, d.time, t, d.from);
+                }
+                fold_child(&mut pool, None, own, travelling, &ranks[d.from][lo..hi], exact)
+            } else {
+                let children = s.up.of(v);
+                let j = &mut joins[join_base[t] + s.join[v]];
+                if rank_order {
+                    if j.held.is_empty() {
+                        j.held.resize_with(children.len(), || None);
+                    }
+                    let i = children.iter().position(|&c| c == d.from).expect("unknown child");
+                    j.held[i] = travelling;
+                } else {
+                    if tracing {
+                        combine(v, d.time, t, d.from);
+                    }
+                    let acc = j.acc.take();
+                    j.acc = Some(fold_child(&mut pool, acc, own, travelling, &ranks[d.from][lo..hi], exact));
+                }
+                j.pending -= 1;
+                if j.pending > 0 {
+                    continue;
+                }
+                if rank_order {
+                    let mut acc = None;
+                    for (&c, held) in children.iter().zip(&mut j.held) {
+                        if tracing {
+                            combine(v, d.time, t, c);
+                        }
+                        let input = &ranks[c][lo..hi];
+                        acc = Some(fold_child(&mut pool, acc, own, held.take(), input, exact));
+                    }
+                    acc.expect("a join has children")
+                } else {
+                    j.acc.take().expect("a join has children")
+                }
+            };
+            if v == s.root {
+                // The tree's single rounding, then its broadcast.
+                result[lo..hi].copy_from_slice(&acc.round());
+                pool.recycle(acc);
+                roots_done += 1;
+                elapsed = elapsed.max(d.time);
+                let tag = ((t as u64) << 1) | TAG_DOWN;
+                for &c in s.down.of(v) {
+                    nic.send_at(sim, d.time, v, c, ((hi - lo) * 8) as u64, tag);
+                }
+            } else {
+                let bytes = acc.wire_bytes();
+                let msg = nic.send_at(sim, d.time, v, s.parent[v], bytes, d.tag);
+                payloads.insert(msg, acc);
             }
         }
         nic.flush(sim);
     });
 
-    assert_eq!(roots_done, 2, "double binary tree never completed");
+    assert_eq!(roots_done, trees.len(), "allreduce reduction never completed");
+    assert!(down_left.iter().all(|&n| n == 0), "allreduce broadcast never completed");
     NetAllreduce {
         values: result,
         elapsed_ns: elapsed,
@@ -1468,33 +1178,20 @@ fn double_binary_tree_on(
     }
 }
 
-/// Recursive doubling: `log₂ p` rounds of symmetric pairwise
-/// exchanges; both partners compute `lower + upper`, so every rank
-/// holds identical bits after every round and timing never leaks into
-/// the values. Messages from a future round are buffered until the
-/// receiving rank finishes the rounds before it.
-///
-/// Because the combine order is fixed by construction, the plain-f64
-/// orderings split the work: the values are computed once as the
-/// balanced `(lower, upper)` block fold (bitwise identical to what
-/// every rank's in-protocol folding would produce), and the message
-/// exchange is simulated payload-free — every plain message is `m·8`
-/// bytes regardless of content, so timing needs no value state at
-/// all. `Reproducible` keeps values in the protocol: its wire sizes
-/// depend on the travelling accumulators.
-fn recursive_doubling_on(
-    topo: &Topology,
-    ranks: &[Vec<f64>],
-    ordering: Ordering,
-    config: &NetConfig,
-    jitter: JitterModel,
-) -> NetAllreduce {
-    if matches!(ordering, Ordering::Reproducible) {
-        recursive_doubling_exact_on(topo, ranks, config, jitter)
-    } else {
-        recursive_doubling_plain_on(topo, ranks, config, jitter)
-    }
-}
+// Recursive doubling: `log₂ p` rounds of symmetric pairwise
+// exchanges; both partners compute `lower + upper`, so every rank
+// holds identical bits after every round and timing never leaks into
+// the values. Messages from a future round are buffered until the
+// receiving rank finishes the rounds before it.
+//
+// Because the combine order is fixed by construction, the plain-f64
+// orderings split the work: the values are computed once as the
+// balanced `(lower, upper)` block fold (bitwise identical to what
+// every rank's in-protocol folding would produce), and the message
+// exchange is simulated payload-free — every plain message is `m·8`
+// bytes regardless of content, so timing needs no value state at
+// all. `Reproducible` keeps values in the protocol: its wire sizes
+// depend on the travelling accumulators.
 
 /// Balanced block fold `sum(block) = sum(lower half) + sum(upper
 /// half)` — the exact value (and bits) rank 0 ends the plain
@@ -1531,14 +1228,6 @@ fn recursive_doubling_plain_on(
     let m = ranks[0].len();
     let rounds = p.trailing_zeros() as usize;
     let values = block_fold(ranks, 0, p);
-    if p == 1 {
-        return NetAllreduce {
-            values,
-            elapsed_ns: 0.0,
-            stats: RunStats::default(),
-            link_stats: None,
-        };
-    }
 
     struct RankState {
         round: usize,
@@ -1555,7 +1244,7 @@ fn recursive_doubling_plain_on(
         .collect();
 
     let bytes = (m * std::mem::size_of::<f64>()) as u64;
-    let mut sim = build_sim(topo, jitter, config);
+    let mut sim = NetSim::with_fabric(topo, jitter, config.fabric());
     for (r, state) in states.iter().enumerate() {
         sim.send_at(state.ready, r, r ^ 1, bytes, 0);
     }
@@ -1616,20 +1305,11 @@ fn recursive_doubling_exact_on(
             buf: pool.values_of(&ranks[r], exact),
             round: 0,
             ready: config.stagger_ns * r as f64,
-            pending: (0..rounds.max(1)).map(|_| None).collect(),
+            pending: (0..rounds).map(|_| None).collect(),
         })
         .collect();
 
-    if p == 1 {
-        return NetAllreduce {
-            values: states[0].buf.round(),
-            elapsed_ns: 0.0,
-            stats: RunStats::default(),
-            link_stats: None,
-        };
-    }
-
-    let mut sim = build_sim(topo, jitter, config);
+    let mut sim = NetSim::with_fabric(topo, jitter, config.fabric());
     let mut payloads = Payloads::default();
     let tracing = trace::enabled();
     let pid = trace::current_pid();
