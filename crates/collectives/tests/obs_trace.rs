@@ -62,6 +62,18 @@ struct Fingerprint {
     stats: fpna_net::RunStats,
 }
 
+/// Every allreduce algorithm, at shapes valid for 8 ranks.
+const ALGORITHMS: [Algorithm; 8] = [
+    Algorithm::Ring,
+    Algorithm::KAryTree { fanout: 2 },
+    Algorithm::RecursiveDoubling,
+    Algorithm::SegmentedRing { segments: 4 },
+    Algorithm::SegmentedTree { fanout: 2, segments: 4 },
+    Algorithm::Hierarchical { intra: 2, inter: 2 },
+    Algorithm::FabricRing,
+    Algorithm::DoubleBinaryTree,
+];
+
 fn run_grid(threads: usize) -> Vec<Fingerprint> {
     const P: usize = 8;
     const LEN: usize = 48;
@@ -72,7 +84,7 @@ fn run_grid(threads: usize) -> Vec<Fingerprint> {
     for topo in topologies(P) {
         for load in [0.0, 0.5] {
             for route in [RouteSelect::Fixed, RouteSelect::SeededEcmp { seed: 0xEC }] {
-                for alg in [Algorithm::KAryTree { fanout: 2 }, Algorithm::Ring] {
+                for alg in ALGORITHMS {
                     let fps = executor.map_runs(RUNS, |i| {
                         let cfg = NetConfig::default()
                             .with_load(load, derive_seed(7, i as u64))
@@ -95,28 +107,35 @@ fn run_grid(threads: usize) -> Vec<Fingerprint> {
             }
         }
     }
-    // One reproducible-ordering cell: exact accumulators must be just
-    // as observability-blind as the timing-driven folds.
-    let repro = allreduce_on(
-        &topologies(P)[1],
-        &ranks,
+    // Reproducible-ordering cells: exact accumulators must be just as
+    // observability-blind as the timing-driven folds.
+    for alg in [
         Algorithm::KAryTree { fanout: 2 },
-        Ordering::Reproducible,
-        &NetConfig::default().with_load(0.5, 99),
-    );
-    out.push(Fingerprint {
-        value_bits: repro.values.iter().map(|v| v.to_bits()).collect(),
-        elapsed_bits: repro.elapsed_ns.to_bits(),
-        stats: repro.stats,
-    });
+        Algorithm::Hierarchical { intra: 2, inter: 2 },
+        Algorithm::DoubleBinaryTree,
+    ] {
+        let repro = allreduce_on(
+            &topologies(P)[1],
+            &ranks,
+            alg,
+            Ordering::Reproducible,
+            &NetConfig::default().with_load(0.5, 99),
+        );
+        out.push(Fingerprint {
+            value_bits: repro.values.iter().map(|v| v.to_bits()).collect(),
+            elapsed_bits: repro.elapsed_ns.to_bits(),
+            stats: repro.stats,
+        });
+    }
     out
 }
 
 /// The tentpole guarantee: the full grid of topologies × offered loads
-/// {0, 0.5} × route modes × thread counts {1, 4} produces bitwise
-/// identical collective outputs, elapsed times, and stats fingerprints
-/// whether observability is off or fully on (trace + counters +
-/// profile).
+/// {0, 0.5} × route modes × every algorithm × thread counts {1, 4}
+/// (plus reproducible tree, hierarchical and double-binary-tree cells)
+/// produces bitwise identical collective outputs, elapsed times, and
+/// stats fingerprints whether observability is off or fully on (trace
+/// + counters + profile).
 #[test]
 fn observability_never_changes_results() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -358,7 +377,7 @@ impl<'a> Parser<'a> {
 }
 
 /// Schema-shape test on a busier trace (fat tree, ECMP, contention,
-/// ring + tree protocols): the export must parse as a single JSON
+/// ring, segmented tree, hierarchical and double binary tree): the export must parse as a single JSON
 /// document, timestamps must be monotone within every `(pid, tid)`
 /// track, and `B`/`E` events must pair up per track like a stack.
 #[test]
@@ -370,7 +389,12 @@ fn trace_schema_is_well_formed() {
         Topology::fat_tree_spines(8, 4, 2, LinkSpec::new(500.0, 25.0), LinkSpec::new(1_500.0, 50.0));
     let ranks = inputs(8, 32, 17);
     trace::start();
-    for alg in [Algorithm::Ring, Algorithm::SegmentedTree { fanout: 2, segments: 4 }] {
+    for alg in [
+        Algorithm::Ring,
+        Algorithm::SegmentedTree { fanout: 2, segments: 4 },
+        Algorithm::Hierarchical { intra: 2, inter: 2 },
+        Algorithm::DoubleBinaryTree,
+    ] {
         let cfg = NetConfig::default()
             .with_load(0.5, 33)
             .with_route(RouteSelect::SeededEcmp { seed: 0xEC });
