@@ -1,11 +1,9 @@
 //! Machine parameters of the simulated LPU.
 
-use serde::{Deserialize, Serialize};
-
 /// Cost/shape parameters of the accelerator. The `groq_like` preset is
 /// calibrated so the compiled cycle counts for the paper's kernels land
 //  near the Groq columns of Tables 6 and 8 (see EXPERIMENTS.md).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LpuSpec {
     /// Core clock in GHz.
     pub clock_ghz: f64,

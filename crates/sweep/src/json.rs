@@ -1,11 +1,11 @@
 //! Minimal JSON reader/writer for the sweep store's own files.
 //!
-//! The workspace's `serde` is an offline no-op shim (see `vendor/`),
-//! so shard result files, sweep specs and manifests are read and
-//! written with this hand-rolled value model instead. It supports
-//! exactly the JSON subset those files use — objects, arrays, strings,
-//! numbers, booleans, null — and keeps object keys in insertion order
-//! so written files are deterministic byte for byte.
+//! The workspace has no serialization dependency, so shard result
+//! files, sweep specs and manifests are read and written with this
+//! hand-rolled value model. It supports exactly the JSON subset those
+//! files use — objects, arrays, strings, numbers, booleans, null — and
+//! keeps object keys in insertion order so written files are
+//! deterministic byte for byte.
 //!
 //! Floating-point **payloads** never travel as JSON numbers: shard
 //! files encode every `f64` as its 16-hex-digit bit pattern (see
