@@ -50,6 +50,7 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 use fpna_core::executor::RunExecutor;
 use fpna_sweep::SweepMode;
@@ -88,15 +89,17 @@ impl ExperimentArgs {
     /// Parse `--threads` / `--run-batch` / `--paper-scale` from the
     /// process arguments.
     ///
-    /// # Panics
-    ///
-    /// Panics when `--threads` or `--run-batch` is given a
-    /// non-positive or unparsable value.
+    /// Exits through [`usage_error`] when `--threads` or `--run-batch`
+    /// is given a non-positive or unparsable value.
     pub fn parse() -> Self {
         let threads = arg_usize("threads", RunExecutor::from_env().threads);
-        assert!(threads > 0, "--threads expects a positive integer");
+        if threads == 0 {
+            usage_error("--threads expects a positive integer, got 0");
+        }
         let run_batch = arg_usize("run-batch", 1);
-        assert!(run_batch > 0, "--run-batch expects a positive integer");
+        if run_batch == 0 {
+            usage_error("--run-batch expects a positive integer, got 0");
+        }
         // One flag, one budget: the same worker count drives the
         // repeated-run fan-out (RunExecutor) and the intra-run kernel
         // primitives; nesting collapses to serial inside workers, so
@@ -192,10 +195,8 @@ impl ExperimentArgs {
     /// else the paper's size under `--paper-scale`, else the
     /// seconds-scale default.
     pub fn size(&self, name: &str, default: usize, paper: usize) -> usize {
-        match arg_value(name) {
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| panic!("--{name} expects an integer, got {v}")),
+        match parse_arg(name, "an integer") {
+            Some(v) => v,
             None if self.paper_scale => paper,
             None => default,
         }
@@ -228,24 +229,47 @@ pub fn arg_flag(name: &str) -> bool {
     std::env::args().any(|a| a == flag)
 }
 
+/// Report a malformed command-line value on stderr as `error: …` and
+/// exit with status 2, the usage-error convention the sweep-protocol
+/// flags follow: a bad flag is the caller's mistake, so it gets one
+/// line rather than a panic backtrace.
+pub fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
+}
+
+/// Parse `--name value` as a `T`; a value that does not parse exits
+/// through [`usage_error`], naming the `expected` form.
+fn parse_arg<T: FromStr>(name: &str, expected: &str) -> Option<T> {
+    arg_value(name).map(|v| {
+        v.parse()
+            .unwrap_or_else(|_| usage_error(format!("--{name} expects {expected}, got {v}")))
+    })
+}
+
 /// Parse `--name value` from the process arguments, with a default.
 pub fn arg_usize(name: &str, default: usize) -> usize {
-    arg_value(name)
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("--{name} expects an integer, got {v}"))
-        })
-        .unwrap_or(default)
+    parse_arg(name, "an integer").unwrap_or(default)
 }
 
 /// Parse `--name value` as u64.
 pub fn arg_u64(name: &str, default: u64) -> u64 {
-    arg_value(name)
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("--{name} expects an integer, got {v}"))
-        })
-        .unwrap_or(default)
+    parse_arg(name, "an integer").unwrap_or(default)
+}
+
+/// Parse `--name a,b,…` as a comma-separated list of `T`; an item that
+/// does not parse exits through [`usage_error`], naming the
+/// `expected` form.
+pub fn arg_list<T: FromStr>(name: &str, expected: &str) -> Option<Vec<T>> {
+    arg_value(name).map(|v| {
+        v.split(',')
+            .map(|s| {
+                s.trim()
+                    .parse()
+                    .unwrap_or_else(|_| usage_error(format!("--{name} expects {expected}, got {s}")))
+            })
+            .collect()
+    })
 }
 
 /// Parse `--name value` as a raw string (e.g. for comma-separated
