@@ -30,7 +30,8 @@ use std::sync::{Arc, Mutex};
 
 /// Link lanes start at tid 0; keep rank/chunk lanes clear of them.
 pub const RANK_TID_BASE: u64 = 1_000_000;
-/// Per-chunk protocol lanes for segmented collectives.
+/// Per-tree lanes of a collective's schedule forest (one per ring
+/// segment, pipelined chunk or tree).
 pub const CHUNK_TID_BASE: u64 = 2_000_000;
 
 /// Trace-event phase (subset of the Chrome trace-event spec).
