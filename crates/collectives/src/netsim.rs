@@ -1110,11 +1110,12 @@ fn run_forest(
                 Some(payloads.take(d.msg).expect("up message lost its payload"))
             };
             let own = &ranks[v][lo..hi];
+            let input = &ranks[d.from][lo..hi];
             let acc = if s.join[v] == NO_JOIN {
                 if tracing {
                     combine(v, d.time, t, d.from);
                 }
-                fold_child(&mut pool, None, own, travelling, &ranks[d.from][lo..hi], exact)
+                fold_child(&mut pool, None, own, travelling, input, exact)
             } else {
                 let children = s.up.of(v);
                 let j = &mut joins[join_base[t] + s.join[v]];
@@ -1129,7 +1130,7 @@ fn run_forest(
                         combine(v, d.time, t, d.from);
                     }
                     let acc = j.acc.take();
-                    j.acc = Some(fold_child(&mut pool, acc, own, travelling, &ranks[d.from][lo..hi], exact));
+                    j.acc = Some(fold_child(&mut pool, acc, own, travelling, input, exact));
                 }
                 j.pending -= 1;
                 if j.pending > 0 {
