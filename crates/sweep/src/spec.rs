@@ -251,7 +251,11 @@ mod tests {
             SweepSpec::new("fig1", 40).arg("seed", 55).arg("gpu", "h100").hash_hex()
         );
         // hash is stable across processes and time: pin one value
-        assert_eq!(spec().hash_hex(), spec().hash_hex());
+        assert_eq!(
+            spec().canonical_json(),
+            r#"{"experiment":"table5","runs":40,"args":{"gpu":"h100","seed":"55"}}"#
+        );
+        assert_eq!(spec().hash_hex(), "e8a6bf061662ba24");
     }
 
     #[test]
