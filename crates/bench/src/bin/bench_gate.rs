@@ -38,7 +38,9 @@
 //! `--suite-threshold <suite>=<factor>`, `--baseline <path>`,
 //! `--update`.
 
+use fpna_bench::{arg_f64, arg_string, usage_error};
 use fpna_core::report::Table;
+use fpna_obs::json::{self, Value};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -88,27 +90,24 @@ fn threshold_for(id: &str, default: f64, overrides: &[(String, f64)]) -> (f64, S
     }
 }
 
-/// Parse every `--suite-threshold name=factor` occurrence.
+/// Parse every `--suite-threshold name=factor` occurrence; a missing
+/// or malformed value is a usage error.
 fn suite_threshold_overrides() -> Vec<(String, f64)> {
     let mut out = Vec::new();
     let mut args = std::env::args();
     while let Some(a) = args.next() {
         let value = if a == "--suite-threshold" {
-            Some(
-                args.next()
-                    .expect("--suite-threshold expects suite=factor, got nothing"),
-            )
+            Some(args.next().unwrap_or_default())
         } else {
             a.strip_prefix("--suite-threshold=").map(str::to_string)
         };
         if let Some(v) = value {
-            let Some((suite, factor)) = v.split_once('=') else {
-                panic!("--suite-threshold expects suite=factor, got {v}");
-            };
-            let factor: f64 = factor
-                .parse()
-                .unwrap_or_else(|_| panic!("--suite-threshold factor must be a number, got {factor}"));
-            out.push((suite.to_string(), factor));
+            let parsed = v
+                .split_once('=')
+                .and_then(|(suite, factor)| Some((suite.to_string(), factor.parse().ok()?)));
+            out.push(parsed.unwrap_or_else(|| {
+                usage_error(format!("--suite-threshold expects suite=factor, got {v:?}"))
+            }));
         }
     }
     out
@@ -133,10 +132,7 @@ fn main() -> ExitCode {
     };
 
     if update {
-        let mut out = String::new();
-        for (id, ns) in &current {
-            out.push_str(&format!("{{\"id\":\"{}\",\"median_ns\":{ns}}}\n", json_escape(id)));
-        }
+        let out = render_rows(&current);
         if let Some(dir) = baseline_path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
@@ -243,21 +239,6 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Minimal JSON string escaping, mirroring the criterion shim's
-/// writer so `--update` round-trips ids losslessly.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// `<manifest>/baselines/bench-baseline.json`; cargo sets
 /// `CARGO_MANIFEST_DIR` for `cargo run`, so the committed baseline
 /// resolves regardless of the working directory.
@@ -294,7 +275,7 @@ fn live_suites() -> Option<std::collections::BTreeSet<String>> {
 /// never deletes them), so without the prune a renamed or removed
 /// suite would keep feeding stale rows into the gate and, worse, into
 /// every `--update`d baseline.
-fn read_current() -> std::io::Result<BTreeMap<String, u128>> {
+fn read_current() -> std::io::Result<BTreeMap<String, u64>> {
     let Some(dir) = target_dir().map(|t| t.join("bench-json")) else {
         return Ok(BTreeMap::new());
     };
@@ -335,66 +316,41 @@ fn target_dir() -> Option<PathBuf> {
     std::env::var_os("CARGO_TARGET_DIR").map(PathBuf::from)
 }
 
-/// Parse the shim's fixed-shape JSON lines: extract `"id"` and
-/// `"median_ns"`; rows missing either are skipped.
-fn parse_rows(text: &str) -> BTreeMap<String, u128> {
-    let mut map = BTreeMap::new();
-    for line in text.lines() {
-        let Some(id) = extract_str(line, "id") else { continue };
-        let Some(ns) = extract_u128(line, "median_ns") else { continue };
-        map.insert(id, ns);
+/// Parse the shim's JSON lines (one `{"id", "median_ns", …}` object
+/// per line); lines that are not such an object are skipped.
+fn parse_rows(text: &str) -> BTreeMap<String, u64> {
+    text.lines()
+        .filter_map(|line| {
+            let row = json::parse(line).ok()?;
+            Some((row.get("id")?.as_str()?.to_string(), row.get("median_ns")?.as_u64()?))
+        })
+        .collect()
+}
+
+/// The `--update` baseline: one `{"id","median_ns"}` line per row, in
+/// id order, so [`parse_rows`] reads back exactly the rows written.
+fn render_rows(rows: &BTreeMap<String, u64>) -> String {
+    rows.iter()
+        .map(|(id, &ns)| {
+            let row = Value::Obj(vec![
+                ("id".into(), Value::Str(id.clone())),
+                ("median_ns".into(), Value::Num(ns as f64)),
+            ]);
+            row.to_json() + "\n"
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_baseline_round_trips_byte_for_byte() {
+        let text = include_str!("../../baselines/bench-baseline.json");
+        let rows = parse_rows(text);
+        assert_eq!(rows.len(), 63);
+        assert!(rows.keys().all(|id| id.is_ascii()));
+        assert_eq!(render_rows(&rows), text);
     }
-    map
-}
-
-fn extract_str(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'u' => {
-                    let hex: String = (&mut chars).take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-fn extract_u128(line: &str, key: &str) -> Option<u128> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let digits: String = line[start..].chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
-fn arg_f64(name: &str, default: f64) -> f64 {
-    arg_string(name)
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("--{name} expects a number, got {v}")))
-        .unwrap_or(default)
-}
-
-fn arg_string(name: &str) -> Option<String> {
-    let flag = format!("--{name}");
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(rest) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(rest.to_string());
-        }
-    }
-    None
 }

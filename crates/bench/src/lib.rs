@@ -257,6 +257,11 @@ pub fn arg_u64(name: &str, default: u64) -> u64 {
     parse_arg(name, "an integer").unwrap_or(default)
 }
 
+/// Parse `--name value` as f64.
+pub fn arg_f64(name: &str, default: f64) -> f64 {
+    parse_arg(name, "a number").unwrap_or(default)
+}
+
 /// Parse `--name a,b,…` as a comma-separated list of `T`; an item that
 /// does not parse exits through [`usage_error`], naming the
 /// `expected` form.

@@ -4,12 +4,12 @@
 
 use std::process::Command;
 
-fn assert_usage_error(args: &[&str], flag: &str) {
-    let out = Command::new(env!("CARGO_BIN_EXE_table9"))
+fn assert_usage_error(bin: &str, args: &[&str], flag: &str) {
+    let out = Command::new(bin)
         .args(args)
         .env_remove("FPNA_THREADS")
         .output()
-        .expect("spawn table9");
+        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?} must exit with status 2:\n{stderr}");
     assert!(
@@ -33,6 +33,18 @@ fn malformed_values_exit_with_usage_errors() {
         (&["--segments", "0"][..], "segments"),
         (&["--route", "random"][..], "route"),
     ] {
-        assert_usage_error(args, flag);
+        assert_usage_error(env!("CARGO_BIN_EXE_table9"), args, flag);
+    }
+}
+
+#[test]
+fn bench_gate_rejects_malformed_thresholds() {
+    for (args, flag) in [
+        (&["--threshold", "abc"][..], "threshold"),
+        (&["--suite-threshold", "gnn"][..], "suite-threshold"),
+        (&["--suite-threshold", "gnn=x"][..], "suite-threshold"),
+        (&["--suite-threshold"][..], "suite-threshold"),
+    ] {
+        assert_usage_error(env!("CARGO_BIN_EXE_bench_gate"), args, flag);
     }
 }

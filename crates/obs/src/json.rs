@@ -1,19 +1,29 @@
-//! Minimal JSON reader/writer for the sweep store's own files.
+//! The workspace's one JSON reader/writer.
 //!
-//! The workspace has no serialization dependency, so shard result
-//! files, sweep specs and manifests are read and written with this
-//! hand-rolled value model. It supports exactly the JSON subset those
-//! files use — objects, arrays, strings, numbers, booleans, null — and
-//! keeps object keys in insertion order so written files are
-//! deterministic byte for byte.
+//! The workspace has no serialization dependency, so sweep specs,
+//! shard result files, manifests, the bench baseline and the trace and
+//! profile exports are read and written with this hand-rolled value
+//! model. It supports objects, arrays, strings, numbers, booleans and
+//! null, and keeps object keys in insertion order so written files are
+//! deterministic byte for byte. Writers that stream a fixed layout
+//! (the [`crate::trace`] and [`crate::profile`] exports) share its
+//! string escaper, [`write_str`].
 //!
 //! Floating-point **payloads** never travel as JSON numbers: shard
-//! files encode every `f64` as its 16-hex-digit bit pattern (see
-//! [`crate::rows`]), so decode → encode round-trips are bitwise exact
-//! by construction. The numbers this module parses are small integers
-//! (run indices, counts), which `f64` represents exactly.
+//! files encode every `f64` as its 16-hex-digit bit pattern, so
+//! decode → encode round-trips are bitwise exact by construction. The
+//! numbers the store parses are small integers (run indices, counts),
+//! which `f64` represents exactly.
+//!
+//! Parsed input may come from other machines, so nesting is bounded:
+//! a document nested deeper than 128 levels is an error, not a stack
+//! overflow.
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`parse`] accepts. No writer in the
+/// workspace nests deeper than five levels.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,6 +83,14 @@ impl Value {
         }
     }
 
+    /// The value as an `f64`, if it is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
     /// The array elements, if the value is an array.
     pub fn as_arr(&self) -> Option<&[Value]> {
         match self {
@@ -109,7 +127,7 @@ impl Value {
                     let _ = write!(out, "{n}");
                 }
             }
-            Value::Str(s) => write_escaped(out, s),
+            Value::Str(s) => write_str(out, s),
             Value::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -126,7 +144,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(out, k);
+                    write_str(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -136,7 +154,11 @@ impl Value {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Append `s` to `out` as a quoted JSON string: `"` and `\` are
+/// backslash-escaped, newline/return/tab use their short escapes and
+/// other control characters `\u00XX`; everything else passes through.
+/// The workspace's only JSON string escaper.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -160,7 +182,7 @@ fn write_escaped(out: &mut String, s: &str) {
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing bytes at offset {pos}"));
@@ -183,10 +205,14 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parse one value nested inside `depth` arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at offset {pos}"))
+        }
         Some(b'{') => {
             *pos += 1;
             let mut members = Vec::new();
@@ -200,7 +226,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -222,7 +248,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -371,5 +397,15 @@ mod tests {
         let v = parse(r#"{"a":1}"#).unwrap();
         assert!(v.get("b").is_none());
         assert!(Value::Null.get("a").is_none());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("offset 128"), "{err}");
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).unwrap_err().contains("nesting"));
     }
 }

@@ -1,6 +1,7 @@
 //! `fpna-obs` — observability for the FPNA simulator stack.
 //!
-//! Three pillars, all always-compiled and **off by default**:
+//! Three pillars, all always-compiled and **off by default**, plus the
+//! JSON module they and the rest of the workspace share:
 //!
 //! * [`counters`] — global event counters (heap push/pop, pool
 //!   recycling, route lookups, wire bytes) behind a single
@@ -15,6 +16,11 @@
 //! * [`profile`] — wall-clock phase statistics (scoped spans plus
 //!   log2-bucketed histograms such as heap-pop time per offered-load
 //!   level), aggregated into a JSON report under `target/obs/`.
+//! * [`json`] — the workspace's one JSON reader/writer: a value model
+//!   with deterministic key order, a depth-bounded parser, and the
+//!   string escaper the streamed trace and profile exports use. Sweep
+//!   specs, shard files, manifests and the bench baseline go through
+//!   it.
 //!
 //! The cardinal rule: enabling any pillar must not perturb simulation
 //! results. Nothing here feeds back into seeds, orderings, or event
@@ -22,5 +28,6 @@
 //! to bitwise identity with observability on vs off.
 
 pub mod counters;
+pub mod json;
 pub mod profile;
 pub mod trace;

@@ -164,10 +164,11 @@ pub fn phases() -> Vec<(String, PhaseStat)> {
 
 fn render_stat(name: &str, s: &PhaseStat, out: &mut String) {
     use std::fmt::Write;
+    out.push_str("    ");
+    crate::json::write_str(out, name);
     let _ = write!(
         out,
-        "    \"{}\": {{\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{},\"mean_ns\":{:.1},\"hist\":[",
-        name,
+        ": {{\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{},\"mean_ns\":{:.1},\"hist\":[",
         s.count,
         s.total_ns,
         if s.count == 0 { 0 } else { s.min_ns },
@@ -196,7 +197,9 @@ pub fn report_json() -> String {
     use std::fmt::Write;
     let mut out = String::from("{\n");
     if let Some(label) = context() {
-        let _ = writeln!(out, "  \"context\": \"{}\",", label.replace('"', "\\\""));
+        out.push_str("  \"context\": ");
+        crate::json::write_str(&mut out, &label);
+        out.push_str(",\n");
     }
     out.push_str("  \"phases\": {\n");
     let all = phases();

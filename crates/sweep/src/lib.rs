@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod coordinator;
-pub mod json;
 pub mod mode;
 pub mod rows;
 pub mod service;

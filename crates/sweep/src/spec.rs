@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::ops::Range;
 
-use crate::json::{self, Value};
+use fpna_obs::json::{self, Value};
 
 /// Identity of one sweep: experiment name, run count, and every
 /// result-affecting argument.
@@ -82,7 +82,7 @@ impl SweepSpec {
         self.to_value().to_json()
     }
 
-    fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         let args = self
             .args
             .iter()
@@ -294,7 +294,7 @@ mod tests {
     #[test]
     fn manifest_lists_every_shard() {
         let text = manifest_json(&spec(), 3);
-        let v = crate::json::parse(&text).unwrap();
+        let v = json::parse(&text).unwrap();
         assert_eq!(v.get("spec_hash").unwrap().as_str().unwrap(), spec().hash_hex());
         let rows = v.get("shards").unwrap().as_arr().unwrap();
         assert_eq!(rows.len(), 3);

@@ -26,7 +26,7 @@ use std::time::{Duration, SystemTime};
 
 use fpna_summation::ExactAccumulator;
 
-use crate::json::{self, Value};
+use fpna_obs::json::{self, Value};
 use crate::rows::{f64_from_hex, f64_to_hex, CellStats, ExactStats, SweepRows};
 use crate::spec::SweepSpec;
 
@@ -502,11 +502,10 @@ pub fn encode_shard(
             )
         })
         .collect();
-    let spec_value = json::parse(&spec.canonical_json()).expect("spec JSON is valid");
     Value::Obj(vec![
         ("schema".into(), Value::Str(SHARD_SCHEMA.into())),
         ("spec_hash".into(), Value::Str(spec.hash_hex())),
-        ("spec".into(), spec_value),
+        ("spec".into(), spec.to_value()),
         ("shard_id".into(), Value::Num(shard_id as f64)),
         ("run_start".into(), Value::Num(run_range.start as f64)),
         ("run_end".into(), Value::Num(run_range.end as f64)),
