@@ -11,8 +11,9 @@
 //! 4. **SAGE aggregation (mean vs sum)** — effect on ND-training
 //!    weight divergence.
 //!
-//! `cargo run --release -p fpna-bench --bin ablations [--runs 200] [--threads N] [--paper-scale]`
+//! `cargo run --release -p fpna-bench --bin ablations` (add `-- --help` for its flags)
 
+use fpna_bench::Flag;
 use fpna_core::metrics::scalar_variability;
 use fpna_gpu_sim::{GpuDevice, GpuModel, KernelParams, ReduceKernel, ScheduleKind};
 use fpna_nn::graph::{synthetic_cora, CoraParams};
@@ -24,11 +25,12 @@ use fpna_stats::samplers::{Distribution, Sampler};
 use fpna_summation::exact::exact_sum;
 use fpna_summation::{kahan_sum, neumaier_sum, pairwise_sum_with_leaf, serial_sum};
 
+const FLAGS: &[Flag] = &[Flag::int("runs", "200").paper("2000"), Flag::int("seed", "123")];
+
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
+    let args = fpna_bench::ExperimentArgs::parse(&[FLAGS]);
     let executor = args.executor();
-    let runs = args.size("runs", 200, 2_000);
-    let seed = fpna_bench::arg_u64("seed", 123);
+    let (runs, seed): (usize, u64) = (args.cli.get("runs"), args.cli.get("seed"));
 
     fpna_bench::banner("Ablation 1", "scheduler model: wave-biased vs uniform random", "");
     let device = GpuDevice::new(GpuModel::V100);

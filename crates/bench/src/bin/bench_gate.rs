@@ -33,12 +33,9 @@
 //! raises every gate); everything else uses the default.
 //! `--suite-threshold suite=factor` (repeatable) overrides either
 //! exactly from the command line.
-//!
-//! Flags: `--threshold <factor>` (default 1.25 = +25%),
-//! `--suite-threshold <suite>=<factor>`, `--baseline <path>`,
-//! `--update`.
+//! `--help` lists the flags (`--threshold` defaults to 1.25 = +25%).
 
-use fpna_bench::{arg_f64, arg_string, usage_error};
+use fpna_bench::{Cli, Flag, Ty};
 use fpna_core::report::Table;
 use fpna_obs::json::{self, Value};
 use std::collections::BTreeMap;
@@ -90,34 +87,28 @@ fn threshold_for(id: &str, default: f64, overrides: &[(String, f64)]) -> (f64, S
     }
 }
 
-/// Parse every `--suite-threshold name=factor` occurrence; a missing
-/// or malformed value is a usage error.
-fn suite_threshold_overrides() -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        let value = if a == "--suite-threshold" {
-            Some(args.next().unwrap_or_default())
-        } else {
-            a.strip_prefix("--suite-threshold=").map(str::to_string)
-        };
-        if let Some(v) = value {
+const FLAGS: &[Flag] = &[
+    Flag::value("threshold", Ty::Num, "1.25"),
+    Flag::repeated("suite-threshold", Ty::Text("SUITE=FACTOR")),
+    Flag::optional("baseline", Ty::Text("PATH")),
+    Flag::switch("update"),
+];
+
+fn main() -> ExitCode {
+    let cli = Cli::from_env(&[FLAGS]);
+    let threshold: f64 = cli.get("threshold");
+    let overrides: Vec<(String, f64)> = cli
+        .all("suite-threshold")
+        .iter()
+        .map(|v| {
             let parsed = v
                 .split_once('=')
                 .and_then(|(suite, factor)| Some((suite.to_string(), factor.parse().ok()?)));
-            out.push(parsed.unwrap_or_else(|| {
-                usage_error(format!("--suite-threshold expects suite=factor, got {v:?}"))
-            }));
-        }
-    }
-    out
-}
-
-fn main() -> ExitCode {
-    let threshold = arg_f64("threshold", 1.25);
-    let overrides = suite_threshold_overrides();
-    let update = std::env::args().any(|a| a == "--update");
-    let baseline_path = arg_string("baseline").map(PathBuf::from).unwrap_or_else(default_baseline_path);
+            parsed.unwrap_or_else(|| cli.fail(format!("--suite-threshold expects SUITE=FACTOR, got {v:?}")))
+        })
+        .collect();
+    let update = cli.on("update");
+    let baseline_path = cli.opt("baseline").unwrap_or_else(default_baseline_path);
 
     let current = match read_current() {
         Ok(map) if !map.is_empty() => map,

@@ -7,19 +7,19 @@
 //! Paper scale: 100 arrays × 10 000 SPA runs. Default here: 20 arrays
 //! × 200 runs (override with `--arrays` / `--runs`).
 //!
-//! `cargo run --release -p fpna-bench --bin fig1 [--arrays 20] [--runs 200] [--bins 41]
-//!  [--threads N] [--paper-scale]`
+//! `cargo run --release -p fpna-bench --bin fig1` (add `-- --help` for its flags)
 //!
 //! Speaks the sweep protocol (`--emit-spec` / `--shard-id …` /
 //! `--from-shards …`, see `fpna-sweep`): runs are seeded by global run
 //! index, so any process sharding merges to byte-identical output.
 
+use fpna_bench::{Flag, Ty, PROTOCOL_FLAGS};
 use fpna_gpu_sim::{GpuDevice, GpuModel, KernelParams, ReduceKernel, ScheduleKind};
 use fpna_stats::histogram::Histogram;
 use fpna_stats::kl::kl_vs_fitted_normal;
 use fpna_stats::normality::jarque_bera;
 use fpna_stats::samplers::{Distribution, Sampler};
-use fpna_sweep::{SweepRows, SweepSpec};
+use fpna_sweep::SweepRows;
 
 const N: usize = 1_000_000;
 
@@ -114,28 +114,20 @@ fn report(rows: &SweepRows, arrays: usize, runs: usize, bins: usize) {
     }
 }
 
-fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let arrays = args.size("arrays", 20, 100);
-    let runs = args.size("runs", 200, 10_000);
-    let bins = fpna_bench::arg_usize("bins", 41);
-    let seed = fpna_bench::arg_u64("seed", 10);
+const FLAGS: &[Flag] = &[
+    Flag::int("arrays", "20").paper("100"),
+    Flag::int("runs", "200").paper("10000"),
+    Flag::value("bins", Ty::Int(1), "41"),
+    Flag::int("seed", "10"),
+];
 
-    let spec = SweepSpec::new("fig1", runs)
-        .arg("arrays", arrays)
-        .arg("bins", bins)
-        .arg("seed", seed);
-    if args.sweep.emit_spec(&spec) {
-        return;
+fn main() {
+    let args = fpna_bench::ExperimentArgs::parse(&[FLAGS, PROTOCOL_FLAGS]);
+    let (arrays, runs, bins, seed) =
+        (args.cli.get("arrays"), args.cli.get("runs"), args.cli.get("bins"), args.cli.get("seed"));
+    let spec = args.cli.spec("fig1", runs);
+    if let Some(rows) = args.sweep.rows(&spec, |range| compute(range, arrays, seed, &args.executor())) {
+        report(&rows, arrays, runs, bins);
     }
-    let rows = match args.sweep.compute_range(spec.runs) {
-        Some(range) => compute(range, arrays, seed, &args.executor()),
-        None => args.sweep.load_rows_or_exit(&spec),
-    };
-    if args.sweep.finish_shard_or_exit(&spec, &rows) {
-        args.finish();
-        return;
-    }
-    report(&rows, arrays, runs, bins);
     args.finish();
 }

@@ -7,9 +7,9 @@
 //! Paper scale: 500 000 sums. Default: 300 runs on one array
 //! (`--runs`, `--arrays`).
 //!
-//! `cargo run --release -p fpna-bench --bin fig2 [--runs 300] [--arrays 4] [--bins 41]
-//!  [--threads N] [--paper-scale]`
+//! `cargo run --release -p fpna-bench --bin fig2` (add `-- --help` for its flags)
 
+use fpna_bench::{Flag, Ty};
 use fpna_gpu_sim::{GpuDevice, GpuModel, KernelParams, ReduceKernel, ScheduleKind};
 use fpna_stats::histogram::Histogram;
 use fpna_stats::kl::kl_vs_fitted_normal;
@@ -18,12 +18,18 @@ use fpna_stats::samplers::{Distribution, Sampler};
 
 const N: usize = 1_000_000;
 
+const FLAGS: &[Flag] = &[
+    Flag::int("arrays", "4"),
+    Flag::int("runs", "300").paper("125000"),
+    Flag::value("bins", Ty::Int(1), "41"),
+    Flag::int("seed", "20"),
+];
+
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let arrays = fpna_bench::arg_usize("arrays", 4);
-    let runs = args.size("runs", 300, 125_000);
-    let bins = fpna_bench::arg_usize("bins", 41);
-    let seed = fpna_bench::arg_u64("seed", 20);
+    let args = fpna_bench::ExperimentArgs::parse(&[FLAGS]);
+    let (arrays, runs, bins): (usize, usize, usize) =
+        (args.cli.get("arrays"), args.cli.get("runs"), args.cli.get("bins"));
+    let seed: u64 = args.cli.get("seed");
     fpna_bench::banner(
         "Fig 2",
         "PDF of Vs for the AO kernel, 1M FP64 ~ U(0,10), V100",

@@ -6,16 +6,18 @@
 //! Paper scale: 1000 runs per cell. Default: 12 runs per cell and a
 //! thinned dimension grid (`--runs`).
 //!
-//! `cargo run --release -p fpna-bench --bin fig3 [--runs 12] [--threads N] [--paper-scale]`
+//! `cargo run --release -p fpna-bench --bin fig3` (add `-- --help` for its flags)
 
+use fpna_bench::Flag;
 use fpna_gpu_sim::GpuModel;
 use fpna_tensor::sweep::{ratio_experiment, RatioOp};
 
+const FLAGS: &[Flag] = &[Flag::int("runs", "12").paper("1000"), Flag::int("seed", "33")];
+
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
+    let args = fpna_bench::ExperimentArgs::parse(&[FLAGS]);
     let executor = args.executor();
-    let runs = args.size("runs", 12, 1_000);
-    let seed = fpna_bench::arg_u64("seed", 33);
+    let (runs, seed): (usize, u64) = (args.cli.get("runs"), args.cli.get("seed"));
     fpna_bench::banner(
         "Fig 3",
         "heatmaps of Vc vs (input dimension, R)",

@@ -3,17 +3,19 @@
 //! and `index_add` (100 × 100), with bootstrap error bars. The paper
 //! plots `Vermv × 1e7`.
 //!
-//! `cargo run --release -p fpna-bench --bin fig5 [--runs 40] [--threads N] [--paper-scale]`
+//! `cargo run --release -p fpna-bench --bin fig5` (add `-- --help` for its flags)
 
+use fpna_bench::Flag;
 use fpna_gpu_sim::GpuModel;
 use fpna_stats::bootstrap::bootstrap_mean;
 use fpna_tensor::sweep::{ratio_experiment, RatioOp};
 
+const FLAGS: &[Flag] = &[Flag::int("runs", "40").paper("1000"), Flag::int("seed", "45")];
+
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
+    let args = fpna_bench::ExperimentArgs::parse(&[FLAGS]);
     let executor = args.executor();
-    let runs = args.size("runs", 40, 1_000);
-    let seed = fpna_bench::arg_u64("seed", 45);
+    let (runs, seed): (usize, u64) = (args.cli.get("runs"), args.cli.get("seed"));
     fpna_bench::banner(
         "Fig 5",
         "Vermv vs reduction ratio (x 1e7; scatter_reduce n=2000, index_add n=100x100)",

@@ -4,20 +4,29 @@
 //! cross-algorithm inconsistency that runtime algorithm selection
 //! introduces, and the exact (reproducible) fix.
 //!
-//! `cargo run --release -p fpna-bench --bin fig_allreduce [--ranks 64] [--len 4096] [--runs 50]
-//!  [--threads N] [--paper-scale]`
+//! `cargo run --release -p fpna-bench --bin fig_allreduce` (add `-- --help` for its flags)
 
+use fpna_bench::Flag;
 use fpna_collectives::{allreduce, Algorithm, Ordering};
 use fpna_core::metrics::ArrayComparison;
 use fpna_core::report::Table;
 use fpna_core::rng::SplitMix64;
 
+const FLAGS: &[Flag] = &[
+    Flag::int("ranks", "64"),
+    Flag::int("len", "4096"),
+    Flag::int("runs", "50").paper("1000"),
+    Flag::int("seed", "12"),
+];
+
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let p = fpna_bench::arg_usize("ranks", 64);
-    let len = fpna_bench::arg_usize("len", 4_096);
-    let runs = args.size("runs", 50, 1_000);
-    let seed = fpna_bench::arg_u64("seed", 12);
+    let args = fpna_bench::ExperimentArgs::parse(&[FLAGS]);
+    let (p, len, runs): (usize, usize, usize) =
+        (args.cli.get("ranks"), args.cli.get("len"), args.cli.get("runs"));
+    if !p.is_power_of_two() {
+        args.cli.fail(format!("--ranks expects a power of two (recursive doubling), got {p}"));
+    }
+    let seed: u64 = args.cli.get("seed");
     fpna_bench::banner(
         "Fig (allreduce)",
         "run-to-run variability of distributed reductions",

@@ -11,20 +11,22 @@
 //! practical saving grace, and the reason this bug class hides so
 //! well).
 //!
-//! `cargo run --release -p fpna-bench --bin fig_cg_divergence [--grid 24]`
+//! `cargo run --release -p fpna-bench --bin fig_cg_divergence` (add `-- --help` for its flags)
 
+use fpna_bench::Flag;
 use fpna_core::report::Table;
 use fpna_gpu_sim::GpuModel;
 use fpna_solvers::cg::{divergence_experiment, CgConfig, ReductionMode};
 use fpna_solvers::Csr;
 
+const FLAGS: &[Flag] = &[Flag::int("grid", "24").paper("64"), Flag::int("seed", "11")];
+
 fn main() {
     // The experiment is two *coupled* CG trajectories (compared per
     // iteration), so there is no independent-run loop to fan out;
     // parsed for the uniform `--threads`/`--paper-scale` flag surface.
-    let args = fpna_bench::ExperimentArgs::parse();
-    let grid = args.size("grid", 24, 64);
-    let seed = fpna_bench::arg_u64("seed", 11);
+    let args = fpna_bench::ExperimentArgs::parse(&[FLAGS]);
+    let (grid, seed): (usize, u64) = (args.cli.get("grid"), args.cli.get("seed"));
     fpna_bench::banner(
         "Fig (CG divergence)",
         "per-iteration divergence of two ND conjugate-gradient runs",

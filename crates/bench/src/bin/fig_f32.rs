@@ -6,8 +6,9 @@
 //! landing in exactly that range — while the f64 kernels show the same
 //! phenomenon scaled down by the eps ratio (~1e-9).
 //!
-//! `cargo run --release -p fpna-bench --bin fig_f32 [--runs 100] [--threads N] [--paper-scale]`
+//! `cargo run --release -p fpna-bench --bin fig_f32` (add `-- --help` for its flags)
 
+use fpna_bench::Flag;
 use fpna_core::metrics::ArrayComparison;
 use fpna_core::rng::SplitMix64;
 use fpna_gpu_sim::GpuModel;
@@ -16,11 +17,12 @@ use fpna_tensor::ops::index::index_add;
 use fpna_tensor::ops::lowp::{index_add_f32, scatter_reduce_f32};
 use fpna_tensor::Tensor;
 
+const FLAGS: &[Flag] = &[Flag::int("runs", "100").paper("1000"), Flag::int("seed", "66")];
+
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
+    let args = fpna_bench::ExperimentArgs::parse(&[FLAGS]);
     let executor = args.executor();
-    let runs = args.size("runs", 100, 1_000);
-    let seed = fpna_bench::arg_u64("seed", 66);
+    let (runs, seed): (usize, u64) = (args.cli.get("runs"), args.cli.get("seed"));
     let n = 20_000usize;
     let rows = 1_000usize;
     fpna_bench::banner(

@@ -3,19 +3,25 @@
 //! paper finds `α ≈ 0.5` for the uniform distribution and a larger
 //! exponent for the normal.
 //!
-//! `cargo run --release -p fpna-bench --bin fig_powerlaw [--runs 200] [--threads N] [--paper-scale]`
+//! `cargo run --release -p fpna-bench --bin fig_powerlaw` (add `-- --help` for its flags)
 
+use fpna_bench::Flag;
 use fpna_core::metrics::scalar_variability;
 use fpna_gpu_sim::{GpuDevice, GpuModel, KernelParams, ReduceKernel, ScheduleKind};
 use fpna_stats::powerlaw::PowerLawFit;
 use fpna_stats::samplers::{Distribution, Sampler};
 
+const FLAGS: &[Flag] = &[
+    Flag::int("runs", "200").paper("2000"),
+    Flag::int("arrays", "7").paper("15"),
+    Flag::int("seed", "30"),
+];
+
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
+    let args = fpna_bench::ExperimentArgs::parse(&[FLAGS]);
     let executor = args.executor();
-    let runs = args.size("runs", 200, 2_000);
-    let arrays = args.size("arrays", 7, 15);
-    let seed = fpna_bench::arg_u64("seed", 30);
+    let (runs, arrays): (usize, usize) = (args.cli.get("runs"), args.cli.get("arrays"));
+    let seed: u64 = args.cli.get("seed");
     fpna_bench::banner(
         "Fig (power law)",
         "max|Vs| ~ beta * n^alpha for SPA (SPTR reference), V100",

@@ -5,9 +5,9 @@
 //! and spread grow with epochs, final weight sets are unique per run,
 //! and losses still cluster.
 //!
-//! `cargo run --release -p fpna-bench --bin fig_weight_divergence [--runs 5] [--epochs 10]
-//!  [--threads N] [--paper-scale]`
+//! `cargo run --release -p fpna-bench --bin fig_weight_divergence` (add `-- --help` for its flags)
 
+use fpna_bench::Flag;
 use fpna_core::report::{mean_std, Table};
 use fpna_gpu_sim::GpuModel;
 use fpna_nn::graph::{synthetic_cora, CoraParams};
@@ -15,11 +15,13 @@ use fpna_nn::model::TrainConfig;
 use fpna_nn::sage::Aggregation;
 use fpna_nn::train::weight_divergence_experiment;
 
+const FLAGS: &[Flag] =
+    &[Flag::int("runs", "5").paper("1000"), Flag::int("epochs", "10"), Flag::int("seed", "99")];
+
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let runs = args.size("runs", 5, 1_000);
-    let epochs = fpna_bench::arg_usize("epochs", 10);
-    let seed = fpna_bench::arg_u64("seed", 99);
+    let args = fpna_bench::ExperimentArgs::parse(&[FLAGS]);
+    let (runs, epochs): (usize, usize) = (args.cli.get("runs"), args.cli.get("epochs"));
+    let seed: u64 = args.cli.get("seed");
     fpna_bench::banner(
         "Fig (weight divergence, §V-B)",
         "weight Vermv vs epoch for ND training, synthetic Cora",

@@ -1,15 +1,18 @@
 //! Table 1: effects of random permutations on serial sums of FP64
 //! numbers drawn from N(0, 1).
 //!
-//! `cargo run --release -p fpna-bench --bin table1 [--seed S] [--threads N]`
+//! `cargo run --release -p fpna-bench --bin table1` (add `-- --help` for its flags)
 
+use fpna_bench::Flag;
 use fpna_core::report::{sci, Table};
 use fpna_stats::samplers::{Distribution, Sampler};
 use fpna_summation::serial::{randomly_permuted_sum, serial_sum};
 
+const FLAGS: &[Flag] = &[Flag::int("seed", "2024")];
+
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let seed = fpna_bench::arg_u64("seed", 2024);
+    let args = fpna_bench::ExperimentArgs::parse(&[FLAGS]);
+    let seed: u64 = args.cli.get("seed");
     fpna_bench::banner(
         "Table 1",
         "effects of permutations on sums of floating-point numbers",

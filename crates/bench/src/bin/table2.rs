@@ -1,6 +1,6 @@
 //! Table 2: properties of the six parallel-sum implementations.
 //!
-//! `cargo run -p fpna-bench --bin table2`
+//! `cargo run -p fpna-bench --bin table2` (add `-- --help` for its flags)
 //!
 //! Speaks the sweep protocol (`--emit-spec` / `--shard-id …` /
 //! `--from-shards …`, see `fpna-sweep`): each global run index is one
@@ -10,7 +10,7 @@
 
 use fpna_core::report::Table;
 use fpna_gpu_sim::ReduceKernel;
-use fpna_sweep::{SweepRows, SweepSpec};
+use fpna_sweep::SweepRows;
 
 /// Synchronisation methods of Table 2, indexed by the code stored in
 /// row column 2.
@@ -66,19 +66,10 @@ fn report(rows: &SweepRows) {
 }
 
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let spec = SweepSpec::new("table2", ReduceKernel::all().len());
-    if args.sweep.emit_spec(&spec) {
-        return;
+    let args = fpna_bench::ExperimentArgs::parse(&[fpna_bench::PROTOCOL_FLAGS]);
+    let spec = args.cli.spec("table2", ReduceKernel::all().len());
+    if let Some(rows) = args.sweep.rows(&spec, compute) {
+        report(&rows);
     }
-    let rows = match args.sweep.compute_range(spec.runs) {
-        Some(range) => compute(range),
-        None => args.sweep.load_rows_or_exit(&spec),
-    };
-    if args.sweep.finish_shard_or_exit(&spec, &rows) {
-        args.finish();
-        return;
-    }
-    report(&rows);
     args.finish();
 }

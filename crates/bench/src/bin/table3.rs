@@ -3,24 +3,31 @@
 //! genuine run-to-run variability from the OS scheduler; the ordered
 //! column is bitwise constant.
 //!
-//! `cargo run --release -p fpna-bench --bin table3 [--trials 10] [--n 1000000] [--threads 8]`
+//! `cargo run --release -p fpna-bench --bin table3` (add `-- --help` for its flags)
 //!
 //! Note: `--threads` here is the *experiment variable* — the number of
 //! OS threads inside each reduction, whose scheduling produces the
-//! genuine run-to-run variability this table demonstrates. The trial
+//! genuine run-to-run variability this table demonstrates; it shadows
+//! the shared worker budget, which nothing here uses. The trial
 //! loop itself stays serial on purpose: unlike every other binary,
 //! this experiment's output is *not* expected to be reproducible
 //! across invocations (that is its point).
 
+use fpna_bench::{Flag, Ty};
 use fpna_core::report::Table;
 use fpna_stats::samplers::{Distribution, Sampler};
 use fpna_summation::parallel::{ordered_threaded_sum, unordered_threaded_sum};
 
+const FLAGS: &[Flag] = &[
+    Flag::int("trials", "10"),
+    Flag::int("n", "1000000"),
+    Flag::value("threads", Ty::Int(1), "8"),
+];
+
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let trials = fpna_bench::arg_usize("trials", 10);
-    let n = fpna_bench::arg_usize("n", 1_000_000);
-    let threads = fpna_bench::arg_usize("threads", 8);
+    let args = fpna_bench::ExperimentArgs::parse(&[FLAGS]);
+    let (trials, n, threads): (usize, usize, usize) =
+        (args.cli.get("trials"), args.cli.get("n"), args.cli.get("threads"));
     fpna_bench::banner(
         "Table 3",
         "normal and ordered reductions (OpenMP analogue) on CPU",

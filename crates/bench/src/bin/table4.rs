@@ -6,8 +6,9 @@
 //! profile's measurement jitter, reported as `mean(std)`; penalty
 //! `Ps = 100·(1 − t/min t)`.
 //!
-//! `cargo run --release -p fpna-bench --bin table4 [--repeats 10] [--threads N] [--paper-scale]`
+//! `cargo run --release -p fpna-bench --bin table4` (add `-- --help` for its flags)
 
+use fpna_bench::Flag;
 use fpna_core::report::{mean_std, percent, Table};
 use fpna_gpu_sim::cost::performance_penalty;
 use fpna_gpu_sim::{GpuDevice, GpuModel, KernelParams, ReduceKernel, ScheduleKind};
@@ -16,10 +17,11 @@ use fpna_stats::samplers::{Distribution, Sampler};
 const N: usize = 4_194_304;
 const SUMS: usize = 100;
 
+const FLAGS: &[Flag] = &[Flag::int("repeats", "10").paper("100"), Flag::int("seed", "4")];
+
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let repeats = args.size("repeats", 10, 100);
-    let seed = fpna_bench::arg_u64("seed", 4);
+    let args = fpna_bench::ExperimentArgs::parse(&[FLAGS]);
+    let (repeats, seed): (usize, u64) = (args.cli.get("repeats"), args.cli.get("seed"));
     fpna_bench::banner(
         "Table 4",
         "timing and performance penalty of parallel sum implementations",

@@ -4,16 +4,17 @@
 //! Paper scale: 10 000 runs per configuration on an H100. Default: 40
 //! runs per configuration (`--runs`).
 //!
-//! `cargo run --release -p fpna-bench --bin table5 [--runs 40] [--threads N] [--paper-scale]`
+//! `cargo run --release -p fpna-bench --bin table5` (add `-- --help` for its flags)
 //!
 //! Speaks the sweep protocol (`--emit-spec` / `--shard-id …` /
 //! `--from-shards …`, see `fpna-sweep`): every (op, configuration)
 //! cell is seeded by global run index, so any process sharding of
 //! `0..runs` merges to byte-identical output.
 
+use fpna_bench::{Flag, PROTOCOL_FLAGS};
 use fpna_core::report::Table;
 use fpna_gpu_sim::GpuModel;
-use fpna_sweep::{SweepRows, SweepSpec};
+use fpna_sweep::SweepRows;
 use fpna_tensor::sweep::{table5_cells, table5_reduce};
 
 /// Per-run comparison metrics for every (op, configuration) cell,
@@ -75,23 +76,14 @@ fn report(rows: &SweepRows, runs: usize, seed: u64) {
     );
 }
 
-fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let runs = args.size("runs", 40, 10_000);
-    let seed = fpna_bench::arg_u64("seed", 55);
+const FLAGS: &[Flag] = &[Flag::int("runs", "40").paper("10000"), Flag::int("seed", "55")];
 
-    let spec = SweepSpec::new("table5", runs).arg("seed", seed);
-    if args.sweep.emit_spec(&spec) {
-        return;
+fn main() {
+    let args = fpna_bench::ExperimentArgs::parse(&[FLAGS, PROTOCOL_FLAGS]);
+    let (runs, seed) = (args.cli.get("runs"), args.cli.get("seed"));
+    let spec = args.cli.spec("table5", runs);
+    if let Some(rows) = args.sweep.rows(&spec, |range| compute(range, seed, &args.executor())) {
+        report(&rows, runs, seed);
     }
-    let rows = match args.sweep.compute_range(spec.runs) {
-        Some(range) => compute(range, seed, &args.executor()),
-        None => args.sweep.load_rows_or_exit(&spec),
-    };
-    if args.sweep.finish_shard_or_exit(&spec, &rows) {
-        args.finish();
-        return;
-    }
-    report(&rows, runs, seed);
     args.finish();
 }

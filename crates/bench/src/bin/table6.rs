@@ -8,7 +8,7 @@
 //! exists (the paper hit a runtime error). LPU times come from
 //! actually compiled static programs and are constants.
 //!
-//! `cargo run --release -p fpna-bench --bin table6`
+//! `cargo run --release -p fpna-bench --bin table6` (add `-- --help` for its flags)
 
 use fpna_core::report::{mean_std, Table};
 use fpna_core::rng::SplitMix64;
@@ -45,7 +45,7 @@ fn lpu_scatter_time_us(rows: usize, cols: usize, out_rows: usize, mean: bool, se
 fn main() {
     // No repeated-run loop (cost-model cells + compiled LPU programs);
     // parsed for the uniform `--threads`/`--paper-scale` flag surface.
-    let args = fpna_bench::ExperimentArgs::parse();
+    let args = fpna_bench::ExperimentArgs::parse(&[]);
     fpna_bench::banner(
         "Table 6",
         "kernel runtime for scatter_reduce / index_add, H100 vs LPU (us)",

@@ -4,8 +4,7 @@
 //!
 //! Paper scale: 1000 models per condition. Default: 6 (`--models`).
 //!
-//! `cargo run --release -p fpna-bench --bin table7 [--models 6] [--epochs 10]
-//!  [--threads N] [--paper-scale]`
+//! `cargo run --release -p fpna-bench --bin table7` (add `-- --help` for its flags)
 //!
 //! Speaks the sweep protocol (`--emit-spec` / `--shard-id …` /
 //! `--from-shards …`, see `fpna-sweep`): each global run index is one
@@ -13,13 +12,14 @@
 //! any process sharding of `0..models` merges to byte-identical
 //! output.
 
+use fpna_bench::{Flag, PROTOCOL_FLAGS};
 use fpna_core::report::{mean_std, Table};
 use fpna_gpu_sim::GpuModel;
 use fpna_nn::graph::{synthetic_cora, CoraParams, NodeClassification};
 use fpna_nn::model::TrainConfig;
 use fpna_nn::sage::Aggregation;
 use fpna_nn::train::{train_inference_comparisons, Mode, MATRIX_CONDITIONS};
-use fpna_sweep::{SweepRows, SweepSpec};
+use fpna_sweep::SweepRows;
 
 /// Row-set cell name for one (training, inference) condition.
 fn cell_name(train: Mode, infer: Mode) -> String {
@@ -81,37 +81,26 @@ fn report(rows: &SweepRows, models: usize, epochs: usize) {
     );
 }
 
-fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let models = args.size("models", 6, 1_000);
-    let epochs = fpna_bench::arg_usize("epochs", 10);
-    let seed = fpna_bench::arg_u64("seed", 77);
+const FLAGS: &[Flag] =
+    &[Flag::int("models", "6").paper("1000"), Flag::int("epochs", "10"), Flag::int("seed", "77")];
 
-    let spec = SweepSpec::new("table7", models)
-        .arg("models", models)
-        .arg("epochs", epochs)
-        .arg("seed", seed);
-    if args.sweep.emit_spec(&spec) {
-        return;
+fn main() {
+    let args = fpna_bench::ExperimentArgs::parse(&[FLAGS, PROTOCOL_FLAGS]);
+    let (models, epochs, seed) = (args.cli.get("models"), args.cli.get("epochs"), args.cli.get("seed"));
+    let spec = args.cli.spec("table7", models);
+    let rows = args.sweep.rows(&spec, |range| {
+        let ds = synthetic_cora(CoraParams::cora(), seed ^ 0xC04A);
+        let cfg = TrainConfig {
+            hidden: 16,
+            lr: 0.5,
+            epochs,
+            init_seed: seed ^ 0x1717,
+            aggregation: Aggregation::Mean,
+        };
+        compute(range, &ds, &cfg, models, seed, &args.executor())
+    });
+    if let Some(rows) = rows {
+        report(&rows, models, epochs);
     }
-    let rows = match args.sweep.compute_range(spec.runs) {
-        Some(range) => {
-            let ds = synthetic_cora(CoraParams::cora(), seed ^ 0xC04A);
-            let cfg = TrainConfig {
-                hidden: 16,
-                lr: 0.5,
-                epochs,
-                init_seed: seed ^ 0x1717,
-                aggregation: Aggregation::Mean,
-            };
-            compute(range, &ds, &cfg, models, seed, &args.executor())
-        }
-        None => args.sweep.load_rows_or_exit(&spec),
-    };
-    if args.sweep.finish_shard_or_exit(&spec, &rows) {
-        args.finish();
-        return;
-    }
-    report(&rows, models, epochs);
     args.finish();
 }

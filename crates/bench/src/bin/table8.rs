@@ -6,8 +6,9 @@
 //! deterministic vs 0.18 s non-deterministic for 10 epochs) as
 //! measured wall time of the simulation-backed pipeline.
 //!
-//! `cargo run --release -p fpna-bench --bin table8 [--epochs 10]`
+//! `cargo run --release -p fpna-bench --bin table8` (add `-- --help` for its flags)
 
+use fpna_bench::Flag;
 use fpna_core::report::Table;
 use fpna_gpu_sim::profile::{DeviceProfile, GpuModel};
 use fpna_nn::cost::{gpu_inference_time_ms, lpu_inference};
@@ -16,13 +17,14 @@ use fpna_nn::model::{train_model, TrainConfig};
 use fpna_nn::sage::Aggregation;
 use fpna_tensor::context::GpuContext;
 
+const FLAGS: &[Flag] = &[Flag::int("epochs", "10"), Flag::int("seed", "88")];
+
 fn main() {
     // The run loop here is a two-sided wall-clock measurement (D vs ND
     // training), which is inherently sequential; parsed for the
     // uniform `--threads`/`--paper-scale` flag surface.
-    let args = fpna_bench::ExperimentArgs::parse();
-    let epochs = fpna_bench::arg_usize("epochs", 10);
-    let seed = fpna_bench::arg_u64("seed", 88);
+    let args = fpna_bench::ExperimentArgs::parse(&[FLAGS]);
+    let (epochs, seed): (usize, u64) = (args.cli.get("epochs"), args.cli.get("seed"));
     fpna_bench::banner(
         "Table 8",
         "GraphSAGE inference runtime, H100 vs LPU",

@@ -57,12 +57,10 @@
 //! output — including the acceptance checks and the exit code, which
 //! are pure functions of the merged rows.
 //!
-//! `cargo run --release -p fpna-bench --bin table9 [--len 4096] [--runs 25] [--fanout 4] [--seed 9]
-//!  [--segments 1,8,32] [--load 0,0.3,0.8] [--route fixed|ecmp] [--place oblivious|aware] [--link-stats]
-//!  [--threads N] [--paper-scale] [--trace out.json] [--profile]`
+//! `cargo run --release -p fpna-bench --bin table9` (add `-- --help` for its flags)
 
-use fpna_bench::usage_error;
-use fpna_collectives::{allreduce_on, Algorithm, NetConfig, Ordering};
+use fpna_bench::{Flag, Ty, PROTOCOL_FLAGS};
+use fpna_collectives::{allreduce_on, Algorithm, NetConfig, Ordering, MAX_SEGMENTS};
 use fpna_core::executor::RunExecutor;
 use fpna_core::harness::RunSummary;
 use fpna_core::metrics::{scalar_variability, ArrayComparison};
@@ -70,7 +68,7 @@ use fpna_core::report::{mean_std, Table};
 use fpna_core::rng::{derive_seed, SplitMix64};
 use fpna_net::{CostModel, LinkSpec, RouteSelect, SeedSweep, Topology};
 use fpna_summation::exact::ExactAccumulator;
-use fpna_sweep::{SweepRows, SweepSpec};
+use fpna_sweep::SweepRows;
 
 /// Index of the fat tree in [`topologies`] — the fabric the
 /// variability-vs-offered-load check reads.
@@ -762,70 +760,43 @@ fn report(cfg: &Cfg, rows: &SweepRows) -> bool {
     all_checks_pass
 }
 
+const FLAGS: &[Flag] = &[
+    Flag::value("len", Ty::Int(1), "4096"),
+    Flag::int("runs", "25").paper("500"),
+    Flag::value("fanout", Ty::Int(2), "4"),
+    Flag::int("seed", "9"),
+    Flag::value("segments", Ty::List(&Ty::Int(1)), "1"),
+    Flag::value("load", Ty::List(&Ty::Num), "0"),
+    Flag::value("route", Ty::OneOf(&["fixed", "ecmp"]), "fixed"),
+    Flag::value("place", Ty::OneOf(&["oblivious", "aware"]), "oblivious"),
+    Flag::switch("link-stats"),
+];
+
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let executor = args.executor();
-    let len = fpna_bench::arg_usize("len", 4_096);
-    let runs = args.size("runs", 25, 500);
-    let fanout = fpna_bench::arg_usize("fanout", 4);
-    let seed = fpna_bench::arg_u64("seed", 9);
-    let segments: Vec<usize> =
-        fpna_bench::arg_list("segments", "integers").unwrap_or_else(|| vec![1]);
-    if segments.contains(&0) {
-        usage_error("--segments expects a comma-separated list of positive chunk counts");
+    let args = fpna_bench::ExperimentArgs::parse(&[FLAGS, PROTOCOL_FLAGS]);
+    let cli = &args.cli;
+    let segments: Vec<usize> = cli.list("segments");
+    if segments.iter().any(|&k| k > MAX_SEGMENTS) {
+        cli.fail(format!("--segments expects chunk counts of at most {MAX_SEGMENTS}"));
     }
-    let loads: Vec<f64> =
-        fpna_bench::arg_list("load", "offered-load factors").unwrap_or_else(|| vec![0.0]);
+    let loads: Vec<f64> = cli.list("load");
     if !loads.iter().all(|&l| l.is_finite() && l >= 0.0) {
-        usage_error("--load expects a comma-separated list of non-negative offered-load factors");
+        cli.fail("--load expects a comma-separated list of non-negative offered-load factors");
     }
     if !loads.windows(2).all(|w| w[0] < w[1]) {
-        usage_error("--load expects strictly increasing offered-load factors");
+        cli.fail("--load expects strictly increasing offered-load factors");
     }
-    let link_stats = fpna_bench::arg_flag("link-stats");
-    let ecmp = match fpna_bench::arg_string("route").as_deref() {
-        None | Some("fixed") => false,
-        Some("ecmp") => true,
-        Some(other) => usage_error(format!("--route expects fixed|ecmp, got {other}")),
-    };
-    let aware = match fpna_bench::arg_string("place").as_deref() {
-        None | Some("oblivious") => false,
-        Some("aware") => true,
-        Some(other) => usage_error(format!("--place expects oblivious|aware, got {other}")),
-    };
+    let ecmp = cli.get::<String>("route") == "ecmp";
+    let aware = cli.get::<String>("place") == "aware";
     if aware && segments != [1] {
-        usage_error("--place aware does not combine with --segments (placement A/B runs unsegmented)");
+        cli.fail("--place aware does not combine with --segments (placement A/B runs unsegmented)");
     }
-    let cfg = Cfg { len, runs, fanout, seed, segments, loads, link_stats, ecmp, aware };
-
-    let mut spec = SweepSpec::new("table9", runs)
-        .arg("len", cfg.len)
-        .arg("fanout", cfg.fanout)
-        .arg("seed", cfg.seed)
-        .arg(
-            "segments",
-            cfg.segments.iter().map(|k| k.to_string()).collect::<Vec<_>>().join(","),
-        )
-        .arg(
-            "load",
-            cfg.loads.iter().map(|l| l.to_string()).collect::<Vec<_>>().join(","),
-        )
-        .arg("route", if cfg.ecmp { "ecmp" } else { "fixed" })
-        .arg("place", if cfg.aware { "aware" } else { "oblivious" });
-    if cfg.link_stats {
-        spec = spec.flag("link-stats");
-    }
-    if args.sweep.emit_spec(&spec) {
-        return;
-    }
-    let rows = match args.sweep.compute_range(spec.runs) {
-        Some(range) => compute(&cfg, range, &executor),
-        None => args.sweep.load_rows_or_exit(&spec),
+    let (len, runs, fanout, seed) = (cli.get("len"), cli.get("runs"), cli.get("fanout"), cli.get("seed"));
+    let cfg = Cfg { len, runs, fanout, seed, segments, loads, link_stats: cli.on("link-stats"), ecmp, aware };
+    let spec = cli.spec("table9", runs);
+    let Some(rows) = args.sweep.rows(&spec, |range| compute(&cfg, range, &args.executor())) else {
+        return args.finish();
     };
-    if args.sweep.finish_shard_or_exit(&spec, &rows) {
-        args.finish();
-        return;
-    }
     let all_checks_pass = report(&cfg, &rows);
     args.finish();
     if all_checks_pass {

@@ -5,13 +5,15 @@
 //! rows/series the paper reports; `EXPERIMENTS.md` records
 //! paper-vs-measured for each.
 //!
-//! All binaries accept `--runs`, `--arrays`, `--models`, … style
-//! overrides; defaults are scaled down from the paper's (e.g. 10 000
-//! runs → hundreds) so a full regeneration finishes in minutes on a
-//! laptop. Scaling factors are documented per experiment in
-//! `EXPERIMENTS.md`.
+//! Each binary declares its flags once, in a `const FLAGS: &[Flag]`
+//! table, and [`ExperimentArgs::parse`] reads the command line against
+//! it and the shared flags below with [`Cli`], the suite's one strict
+//! argv parser (`--help` lists every flag with its default; a bad flag
+//! exits 2 before any work). Defaults are scaled down from the paper's
+//! (e.g. 10 000 runs → hundreds) so a full regeneration finishes in
+//! minutes; `EXPERIMENTS.md` records the scaling per experiment.
 //!
-//! Two flags are shared by every binary (see [`ExperimentArgs`]):
+//! Shared by every binary (see [`ExperimentArgs`]):
 //!
 //! * `--threads N` — one shared worker budget: repeated runs fan out
 //!   across `N` OS threads through
@@ -26,10 +28,10 @@
 //!   output**: run seeding, chunk boundaries and result collection are
 //!   order-invariant by construction, so `--threads` only changes
 //!   wall-clock time.
-//! * `--paper-scale` — switch run counts / array counts to the paper's
-//!   full experiment sizes (e.g. Table 5's 10 000 runs per
-//!   configuration) instead of the seconds-scale defaults. Explicit
-//!   size flags (`--runs`, `--arrays`, …) still win.
+//! * `--run-batch B` — run indices a worker claims per pull.
+//! * `--paper-scale` — switch every size flag to its paper value
+//!   (e.g. Table 5's 10 000 runs per configuration). Explicit size
+//!   flags still win.
 //!
 //! Two more are observability switches (off by default, see
 //! [`fpna_obs`]):
@@ -43,102 +45,82 @@
 //!   profiler; the report lands in `target/obs/<bin>.profile.json`.
 //!
 //! Both report to **stderr** only, so stdout stays byte-identical with
-//! and without them.
+//! and without them. `table2`, `table5`, `table7`, `table9` and `fig1`
+//! also declare the sweep protocol flags ([`PROTOCOL_FLAGS`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::str::FromStr;
 
 use fpna_core::executor::RunExecutor;
 use fpna_sweep::SweepMode;
+pub use fpna_sweep::{Cli, Flag, Ty, PROTOCOL_FLAGS};
 
-/// Shared per-binary experiment arguments: worker threads, run
-/// batching, the paper-scale preset switch, and the observability
-/// switches.
+/// The flags every experiment binary shares; none affects results.
+const SHARED_FLAGS: &[Flag] = &[
+    Flag::optional("threads", Ty::Int(1)).result_neutral(),
+    Flag::value("run-batch", Ty::Int(1), "1").result_neutral(),
+    Flag::switch("paper-scale").result_neutral(),
+    Flag::optional("trace", Ty::Text("PATH")).result_neutral(),
+    Flag::switch("profile").result_neutral(),
+];
+
+/// A binary's parsed command line plus what the shared flags resolved
+/// to.
 #[derive(Debug, Clone)]
 pub struct ExperimentArgs {
     /// Worker thread count for repeated-run loops (`--threads`,
     /// default `FPNA_THREADS`, default 1).
     pub threads: usize,
-    /// Run indices each worker claims per shared-counter pull
-    /// (`--run-batch`, default 1) — the work-stealing chunk-size knob
-    /// for sweeps of very short runs. Bitwise invariant; scheduling
-    /// only.
-    pub run_batch: usize,
-    /// `--paper-scale`: use the paper's full experiment sizes.
-    pub paper_scale: bool,
-    /// `--trace out.json`: record a simulated-clock Chrome/Perfetto
-    /// trace and write it here on [`ExperimentArgs::finish`].
-    pub trace: Option<PathBuf>,
-    /// `--profile`: enable counters + wall-clock phase profiling; the
-    /// JSON report lands in `target/obs/<bin>.profile.json`.
-    pub profile: bool,
-    /// Which [`SweepMode`] the process runs in (`--emit-spec`,
-    /// `--shard-id …`, `--from-shards …`, or plain Full mode). Drives
-    /// the `sweep` coordinator's process sharding; in shard mode the
+    /// Which [`SweepMode`] the process runs in; plain Full mode for a
+    /// binary without [`PROTOCOL_FLAGS`]. In shard mode the
     /// observability outputs are namespaced per shard (see
-    /// [`ExperimentArgs::finish`]) so concurrent shard processes of
-    /// the same binary never clobber each other under `target/obs/`.
+    /// [`ExperimentArgs::finish`]).
     pub sweep: SweepMode,
+    /// The whole parsed command line; the binary reads its own flags
+    /// from here.
+    pub cli: Cli,
 }
 
 impl ExperimentArgs {
-    /// Parse `--threads` / `--run-batch` / `--paper-scale` from the
-    /// process arguments.
-    ///
-    /// Exits through [`usage_error`] when `--threads` or `--run-batch`
-    /// is given a non-positive or unparsable value.
-    pub fn parse() -> Self {
-        let threads = arg_usize("threads", RunExecutor::from_env().threads);
-        if threads == 0 {
-            usage_error("--threads expects a positive integer, got 0");
-        }
-        let run_batch = arg_usize("run-batch", 1);
-        if run_batch == 0 {
-            usage_error("--run-batch expects a positive integer, got 0");
-        }
+    /// Parse the command line against the binary's `tables` (its own
+    /// flags, plus [`PROTOCOL_FLAGS`] if it speaks the sweep protocol)
+    /// and the shared flags, and set up the worker budget and
+    /// observability they ask for.
+    pub fn parse(tables: &[&[Flag]]) -> Self {
+        Self::from_cli(Cli::from_env(&[tables, &[SHARED_FLAGS]].concat()))
+    }
+
+    fn from_cli(cli: Cli) -> Self {
+        let threads = cli.opt("threads").unwrap_or_else(|| RunExecutor::from_env().threads);
         // One flag, one budget: the same worker count drives the
         // repeated-run fan-out (RunExecutor) and the intra-run kernel
         // primitives; nesting collapses to serial inside workers, so
         // the two never multiply.
         fpna_core::executor::set_intra_threads(threads);
-        let trace = arg_string("trace").map(PathBuf::from);
-        if trace.is_some() {
+        if cli.opt::<PathBuf>("trace").is_some() {
             fpna_obs::trace::start();
         }
-        let profile = arg_flag("profile");
+        let profile = cli.on("profile");
         if profile {
             fpna_obs::counters::reset();
             fpna_obs::counters::set_enabled(true);
             fpna_obs::profile::reset();
             fpna_obs::profile::set_enabled(true);
         }
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        let sweep = SweepMode::from_args_or_exit(&argv);
+        let sweep = if cli.declares("emit-spec") {
+            SweepMode::from_cli(&cli).unwrap_or_else(|e| cli.fail(e))
+        } else {
+            SweepMode::Full
+        };
         if profile {
             if let Some(id) = sweep.shard_id() {
                 fpna_obs::profile::set_context(Some(format!("shard-{id}")));
             }
         }
-        ExperimentArgs {
-            threads,
-            run_batch,
-            paper_scale: arg_flag("paper-scale"),
-            trace,
-            profile,
-            sweep,
-        }
-    }
-
-    /// `true` when this process prints a report on stdout (Full or
-    /// merge mode). Shard and `--emit-spec` processes must keep stdout
-    /// silent apart from the protocol payload, so binaries guard every
-    /// `println!` on this.
-    pub fn reporting(&self) -> bool {
-        self.sweep.reports()
+        ExperimentArgs { threads, sweep, cli }
     }
 
     /// Flush the observability outputs requested on the command line:
@@ -151,20 +133,24 @@ impl ExperimentArgs {
     /// suffix (`target/obs/<bin>.shard-<id>.profile.json`, and
     /// `--trace out.json` becomes `out.shard-<id>.json`) so concurrent
     /// shard processes of the same binary cannot overwrite each
-    /// other's files.
+    /// other's files. An `--emit-spec` process computed nothing and
+    /// writes nothing.
     pub fn finish(&self) {
-        if let Some(path) = &self.trace {
-            let path = self.shard_qualified(path);
+        if self.sweep == SweepMode::EmitSpec {
+            return;
+        }
+        if let Some(path) = self.cli.opt::<PathBuf>("trace") {
+            let path = self.shard_qualified(&path);
             match fpna_obs::trace::write_json(&path) {
                 Ok(n) => eprintln!("[obs] trace: {n} events -> {}", path.display()),
                 Err(e) => eprintln!("[obs] trace: FAILED writing {}: {e}", path.display()),
             }
             fpna_obs::trace::stop();
         }
-        if self.profile {
+        if self.cli.on("profile") {
             let name = match self.sweep.shard_id() {
-                Some(id) => format!("{}.shard-{id}.profile.json", bin_name()),
-                None => format!("{}.profile.json", bin_name()),
+                Some(id) => format!("{}.shard-{id}.profile.json", self.cli.program()),
+                None => format!("{}.profile.json", self.cli.program()),
             };
             let path = PathBuf::from("target/obs").join(name);
             match fpna_obs::profile::write_report(&path) {
@@ -188,113 +174,8 @@ impl ExperimentArgs {
 
     /// The executor running this binary's repeated-run loops.
     pub fn executor(&self) -> RunExecutor {
-        RunExecutor::new(self.threads).with_batch(self.run_batch)
+        RunExecutor::new(self.threads).with_batch(self.cli.get("run-batch"))
     }
-
-    /// An experiment size: the explicit `--name` flag when present,
-    /// else the paper's size under `--paper-scale`, else the
-    /// seconds-scale default.
-    pub fn size(&self, name: &str, default: usize, paper: usize) -> usize {
-        match parse_arg(name, "an integer") {
-            Some(v) => v,
-            None if self.paper_scale => paper,
-            None => default,
-        }
-    }
-
-    /// The scale label for banners: which preset is active.
-    pub fn scale_label(&self) -> &'static str {
-        if self.paper_scale {
-            "paper-scale"
-        } else {
-            "scaled-down default"
-        }
-    }
-}
-
-/// The current binary's file stem (`table9`, `fig1`, …), for naming
-/// per-binary artifacts such as profile reports.
-fn bin_name() -> String {
-    std::env::args()
-        .next()
-        .as_deref()
-        .and_then(|a| std::path::Path::new(a).file_stem().map(|s| s.to_string_lossy().into_owned()))
-        .unwrap_or_else(|| "experiment".to_string())
-}
-
-/// `true` when `--name` appears as a bare flag in the process
-/// arguments.
-pub fn arg_flag(name: &str) -> bool {
-    let flag = format!("--{name}");
-    std::env::args().any(|a| a == flag)
-}
-
-/// Report a malformed command-line value on stderr as `error: …` and
-/// exit with status 2, the usage-error convention the sweep-protocol
-/// flags follow: a bad flag is the caller's mistake, so it gets one
-/// line rather than a panic backtrace.
-pub fn usage_error(msg: impl std::fmt::Display) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2)
-}
-
-/// Parse `--name value` as a `T`; a value that does not parse exits
-/// through [`usage_error`], naming the `expected` form.
-fn parse_arg<T: FromStr>(name: &str, expected: &str) -> Option<T> {
-    arg_value(name).map(|v| {
-        v.parse()
-            .unwrap_or_else(|_| usage_error(format!("--{name} expects {expected}, got {v}")))
-    })
-}
-
-/// Parse `--name value` from the process arguments, with a default.
-pub fn arg_usize(name: &str, default: usize) -> usize {
-    parse_arg(name, "an integer").unwrap_or(default)
-}
-
-/// Parse `--name value` as u64.
-pub fn arg_u64(name: &str, default: u64) -> u64 {
-    parse_arg(name, "an integer").unwrap_or(default)
-}
-
-/// Parse `--name value` as f64.
-pub fn arg_f64(name: &str, default: f64) -> f64 {
-    parse_arg(name, "a number").unwrap_or(default)
-}
-
-/// Parse `--name a,b,…` as a comma-separated list of `T`; an item that
-/// does not parse exits through [`usage_error`], naming the
-/// `expected` form.
-pub fn arg_list<T: FromStr>(name: &str, expected: &str) -> Option<Vec<T>> {
-    arg_value(name).map(|v| {
-        v.split(',')
-            .map(|s| {
-                s.trim()
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(format!("--{name} expects {expected}, got {s}")))
-            })
-            .collect()
-    })
-}
-
-/// Parse `--name value` as a raw string (e.g. for comma-separated
-/// lists a binary splits itself).
-pub fn arg_string(name: &str) -> Option<String> {
-    arg_value(name)
-}
-
-fn arg_value(name: &str) -> Option<String> {
-    let flag = format!("--{name}");
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(rest) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(rest.to_string());
-        }
-    }
-    None
 }
 
 /// Print the standard experiment banner.
@@ -349,51 +230,32 @@ mod tests {
         assert!(s.lines().count() >= 4);
     }
 
+    const FLAGS: &[Flag] = &[Flag::int("runs", "40").paper("10000")];
+
+    fn args(argv: &[&str]) -> ExperimentArgs {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        ExperimentArgs::from_cli(Cli::parse("t", &argv, &[FLAGS, PROTOCOL_FLAGS, SHARED_FLAGS]).unwrap())
+    }
+
     #[test]
     fn args_fall_back_to_defaults() {
-        assert_eq!(arg_usize("definitely-not-passed", 42), 42);
-        assert_eq!(arg_u64("also-not-passed", 7), 7);
-        assert!(!arg_flag("definitely-not-passed"));
+        let a = args(&[]);
+        assert_eq!(a.cli.get::<usize>("runs"), 40);
+        assert_eq!(a.executor().batch, 1);
     }
 
     #[test]
     fn experiment_args_pick_preset_sizes() {
-        let scaled = ExperimentArgs {
-            threads: 1,
-            run_batch: 1,
-            paper_scale: false,
-            trace: None,
-            profile: false,
-            sweep: SweepMode::Full,
-        };
-        assert_eq!(scaled.size("not-a-flag", 40, 10_000), 40);
-        assert_eq!(scaled.scale_label(), "scaled-down default");
-        assert!(scaled.reporting());
-        let paper = ExperimentArgs {
-            threads: 4,
-            run_batch: 8,
-            paper_scale: true,
-            trace: None,
-            profile: false,
-            sweep: SweepMode::Full,
-        };
-        assert_eq!(paper.size("not-a-flag", 40, 10_000), 10_000);
+        let paper = args(&["--paper-scale", "--threads", "4", "--run-batch=8"]);
+        assert_eq!(paper.cli.get::<usize>("runs"), 10_000);
         assert_eq!(paper.executor().threads, 4);
         assert_eq!(paper.executor().batch, 8);
-        assert_eq!(paper.scale_label(), "paper-scale");
+        assert_eq!(args(&["--paper-scale", "--runs", "7"]).cli.get::<usize>("runs"), 7);
     }
 
     #[test]
     fn shard_mode_namespaces_obs_outputs() {
-        let shard = ExperimentArgs {
-            threads: 1,
-            run_batch: 1,
-            paper_scale: false,
-            trace: None,
-            profile: false,
-            sweep: SweepMode::Shard { id: 3, start: 0, end: 5, out: None },
-        };
-        assert!(!shard.reporting());
+        let shard = args(&["--shard-id", "3", "--shard-start", "0", "--shard-end", "5"]);
         assert_eq!(
             shard.shard_qualified(std::path::Path::new("target/obs/t9.json")),
             PathBuf::from("target/obs/t9.shard-3.json")

@@ -36,55 +36,46 @@ use std::time::{Duration, SystemTime};
 
 use fpna_sweep::coordinator::Coordinator;
 use fpna_sweep::store::SweepStore;
+use fpna_sweep::{Cli, Flag, Ty};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: sweep --bin <experiment> [--shards N] [--jobs J] [--store DIR] \
-         [--bin-dir DIR] [--refresh] [--no-cache] [--manifest PATH] -- <experiment args...>\n\
-         \x20      sweep --list [--store DIR]\n\
-         \x20      sweep --gc [--max-age AGE] [--max-bytes SIZE] [--store DIR]"
-    );
-    exit(2)
+const FLAGS: &[Flag] = &[
+    Flag::optional("bin", Ty::Text("EXPERIMENT")),
+    Flag::value("shards", Ty::Int(1), "2"),
+    Flag::optional("jobs", Ty::Int(0)),
+    Flag::optional("store", Ty::Text("DIR")),
+    Flag::optional("bin-dir", Ty::Text("DIR")),
+    Flag::switch("refresh"),
+    Flag::switch("no-cache"),
+    Flag::optional("manifest", Ty::Text("PATH")),
+    Flag::switch("list"),
+    Flag::switch("gc"),
+    Flag::optional("max-age", Ty::Text("AGE")),
+    Flag::optional("max-bytes", Ty::Text("SIZE")),
+    Flag::rest("EXPERIMENT-ARGS"),
+];
+
+/// Parse a number with an optional one-letter unit suffix from
+/// `units` (case-insensitive); a bare number has scale 1.
+fn parse_scaled(s: &str, units: &[(char, u64)]) -> Result<u64, String> {
+    let (num, scale) = match s.char_indices().last() {
+        Some((i, c)) if c.is_ascii_alphabetic() => {
+            let unit = units.iter().find(|(u, _)| *u == c.to_ascii_lowercase());
+            (&s[..i], unit.ok_or(format!("unknown suffix {c:?} in {s:?}"))?.1)
+        }
+        _ => (s, 1),
+    };
+    num.parse::<u64>().map(|n| n * scale).map_err(|e| format!("bad value {s:?}: {e}"))
 }
 
 /// Parse a duration: plain seconds, or a number with an `s`/`m`/`h`/`d`
 /// suffix.
 fn parse_age(s: &str) -> Result<Duration, String> {
-    let (num, scale) = match s.char_indices().last() {
-        Some((i, c)) if c.is_ascii_alphabetic() => {
-            let scale = match c.to_ascii_lowercase() {
-                's' => 1u64,
-                'm' => 60,
-                'h' => 3600,
-                'd' => 86_400,
-                other => return Err(format!("unknown age suffix {other:?}")),
-            };
-            (&s[..i], scale)
-        }
-        _ => (s, 1),
-    };
-    num.parse::<u64>()
-        .map(|n| Duration::from_secs(n * scale))
-        .map_err(|e| format!("bad age {s:?}: {e}"))
+    parse_scaled(s, &[('s', 1), ('m', 60), ('h', 3600), ('d', 86_400)]).map(Duration::from_secs)
 }
 
 /// Parse a size: plain bytes, or a number with a `k`/`m`/`g` suffix.
 fn parse_size(s: &str) -> Result<u64, String> {
-    let (num, scale) = match s.char_indices().last() {
-        Some((i, c)) if c.is_ascii_alphabetic() => {
-            let scale = match c.to_ascii_lowercase() {
-                'k' => 1u64 << 10,
-                'm' => 1 << 20,
-                'g' => 1 << 30,
-                other => return Err(format!("unknown size suffix {other:?}")),
-            };
-            (&s[..i], scale)
-        }
-        _ => (s, 1),
-    };
-    num.parse::<u64>()
-        .map(|n| n * scale)
-        .map_err(|e| format!("bad size {s:?}: {e}"))
+    parse_scaled(s, &[('k', 1 << 10), ('m', 1 << 20), ('g', 1 << 30)])
 }
 
 fn human_bytes(b: u64) -> String {
@@ -176,79 +167,19 @@ fn gc_store(store: &SweepStore, max_age: Option<Duration>, max_bytes: Option<u64
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (own, user_args) = match argv.iter().position(|a| a == "--") {
-        Some(i) => (argv[..i].to_vec(), argv[i + 1..].to_vec()),
-        None => (argv, Vec::new()),
-    };
-
-    let mut bin: Option<String> = None;
-    let mut shards = 2usize;
-    let mut jobs: Option<usize> = None;
-    let mut store: Option<String> = None;
-    let mut bin_dir: Option<String> = None;
-    let mut refresh = false;
-    let mut no_cache = false;
-    let mut manifest: Option<String> = None;
-    let mut list = false;
-    let mut gc = false;
-    let mut max_age: Option<Duration> = None;
-    let mut max_bytes: Option<u64> = None;
-
-    let mut it = own.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("error: {flag} needs a value");
-                usage()
-            })
-        };
-        match flag.as_str() {
-            "--bin" => bin = Some(value()),
-            "--shards" => {
-                shards = value().parse().unwrap_or_else(|e| {
-                    eprintln!("error: --shards: {e}");
-                    usage()
-                })
-            }
-            "--jobs" => {
-                jobs = Some(value().parse().unwrap_or_else(|e| {
-                    eprintln!("error: --jobs: {e}");
-                    usage()
-                }))
-            }
-            "--store" => store = Some(value()),
-            "--bin-dir" => bin_dir = Some(value()),
-            "--refresh" => refresh = true,
-            "--no-cache" => no_cache = true,
-            "--manifest" => manifest = Some(value()),
-            "--list" => list = true,
-            "--gc" => gc = true,
-            "--max-age" => {
-                max_age = Some(parse_age(&value()).unwrap_or_else(|e| {
-                    eprintln!("error: --max-age: {e}");
-                    usage()
-                }))
-            }
-            "--max-bytes" => {
-                max_bytes = Some(parse_size(&value()).unwrap_or_else(|e| {
-                    eprintln!("error: --max-bytes: {e}");
-                    usage()
-                }))
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown flag {other} (experiment args go after --)");
-                usage()
-            }
-        }
-    }
+    let cli = Cli::from_env(&[FLAGS]);
+    let store = cli.opt::<String>("store").map_or_else(SweepStore::default_root, SweepStore::new);
+    let max_age = cli.opt::<String>("max-age").map(|v| {
+        parse_age(&v).unwrap_or_else(|e| cli.fail(format!("--max-age: {e}")))
+    });
+    let max_bytes = cli.opt::<String>("max-bytes").map(|v| {
+        parse_size(&v).unwrap_or_else(|e| cli.fail(format!("--max-bytes: {e}")))
+    });
+    let (list, gc) = (cli.on("list"), cli.on("gc"));
     if list || gc {
-        if bin.is_some() {
-            eprintln!("error: --list/--gc do not take --bin");
-            usage()
+        if cli.opt::<String>("bin").is_some() {
+            cli.fail("--list/--gc do not take --bin");
         }
-        let store = store.map(SweepStore::new).unwrap_or_else(SweepStore::default_root);
         let code = if list {
             list_store(&store)
         } else {
@@ -257,30 +188,22 @@ fn main() {
         exit(code)
     }
     if max_age.is_some() || max_bytes.is_some() {
-        eprintln!("error: --max-age/--max-bytes only apply to --gc");
-        usage()
+        cli.fail("--max-age/--max-bytes only apply to --gc");
     }
-    let Some(bin) = bin else {
-        eprintln!("error: --bin is required");
-        usage()
+    let Some(bin) = cli.opt::<String>("bin") else {
+        cli.fail("--bin is required");
     };
-    if shards == 0 {
-        eprintln!("error: --shards must be at least 1");
-        usage()
-    }
 
-    let mut coordinator = Coordinator::new(bin, user_args, shards);
-    if let Some(j) = jobs {
+    let mut coordinator = Coordinator::new(bin, cli.all("EXPERIMENT-ARGS").to_vec(), cli.get("shards"));
+    if let Some(j) = cli.opt::<usize>("jobs") {
         coordinator.jobs = j.max(1);
     }
-    if let Some(dir) = store {
-        coordinator.store = SweepStore::new(dir);
-    }
-    coordinator.bin_dir = bin_dir.map(Into::into);
-    coordinator.refresh = refresh;
-    coordinator.no_cache = no_cache;
+    coordinator.store = store;
+    coordinator.bin_dir = cli.opt("bin-dir");
+    coordinator.refresh = cli.on("refresh");
+    coordinator.no_cache = cli.on("no-cache");
 
-    if let Some(path) = manifest {
+    if let Some(path) = cli.opt::<String>("manifest") {
         let text = coordinator.manifest().unwrap_or_else(|e| {
             eprintln!("error: {e}");
             exit(1)

@@ -7,24 +7,17 @@
 //! (error-free) total — enough structure that any merge mistake, seed
 //! impurity, or lossy serialization shows up as changed report bytes.
 //!
-//! Flags: `--runs N` (default 12), `--len L` (default 1000), `--seed S`
-//! (default 7), plus the standard sweep protocol flags
-//! (`--emit-spec` / `--shard-id …` / `--from-shards …`).
+//! Flags: `FLAGS` below plus the sweep protocol flags (`--help`).
 
 use fpna_core::harness::RunSummary;
 use fpna_core::rng::{derive_seed, SplitMix64};
 use fpna_summation::{kahan_sum, serial_sum, ExactAccumulator};
-use fpna_sweep::mode::SweepMode;
 use fpna_sweep::rows::{f64_to_hex, SweepRows};
 use fpna_sweep::spec::SweepSpec;
+use fpna_sweep::{Cli, Flag, SweepMode, Ty, PROTOCOL_FLAGS};
 
-fn arg_u64(args: &[String], flag: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().unwrap_or_else(|e| panic!("{flag} {v:?}: {e}")))
-        .unwrap_or(default)
-}
+const FLAGS: &[Flag] =
+    &[Flag::int("runs", "12"), Flag::value("len", Ty::Int(1), "1000"), Flag::int("seed", "7")];
 
 fn compute(spec: &SweepSpec, range: std::ops::Range<usize>, len: usize, seed: u64) -> SweepRows {
     let mut rows = SweepRows::new();
@@ -64,24 +57,11 @@ fn report(spec: &SweepSpec, rows: &SweepRows, len: usize, seed: u64) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = SweepMode::from_args_or_exit(&args);
-    let runs = arg_u64(&args, "--runs", 12) as usize;
-    let len = arg_u64(&args, "--len", 1000) as usize;
-    let seed = arg_u64(&args, "--seed", 7);
-
-    let spec = SweepSpec::new("sweep_selftest", runs)
-        .arg("len", len)
-        .arg("seed", seed);
-    if mode.emit_spec(&spec) {
-        return;
+    let cli = Cli::from_env(&[FLAGS, PROTOCOL_FLAGS]);
+    let mode = SweepMode::from_cli(&cli).unwrap_or_else(|e| cli.fail(e));
+    let (len, seed) = (cli.get("len"), cli.get("seed"));
+    let spec = cli.spec("sweep_selftest", cli.get("runs"));
+    if let Some(rows) = mode.rows(&spec, |range| compute(&spec, range, len, seed)) {
+        report(&spec, &rows, len, seed);
     }
-    let rows = match mode.compute_range(spec.runs) {
-        Some(range) => compute(&spec, range, len, seed),
-        None => mode.load_rows_or_exit(&spec),
-    };
-    if mode.finish_shard_or_exit(&spec, &rows) {
-        return;
-    }
-    report(&spec, &rows, len, seed);
 }

@@ -19,6 +19,9 @@
 //!   `target/sweeps/<spec-hash>/`: self-describing shard files,
 //!   atomic writes, stale-partition detection, and a cached merged
 //!   report.
+//! * [`cli`] — the one argv parser: each binary's declarative flag
+//!   table, strict parsing, `--help`, and the spec derived from the
+//!   result-affecting flags.
 //! * [`mode`] — the four-mode protocol experiment binaries speak
 //!   (`--emit-spec`, shard, merge, full), keeping each binary the
 //!   single source of truth for its own spec.
@@ -34,6 +37,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod coordinator;
 pub mod mode;
 pub mod rows;
@@ -41,8 +45,9 @@ pub mod service;
 pub mod spec;
 pub mod store;
 
+pub use cli::{Cli, Flag, Ty};
 pub use coordinator::{Coordinator, RunOutcome};
-pub use mode::SweepMode;
+pub use mode::{SweepMode, PROTOCOL_FLAGS};
 pub use rows::{ExactStats, SweepRows};
 pub use service::{ShardHandle, SweepService};
 pub use spec::{shard_assignments, ShardAssignment, SweepSpec};

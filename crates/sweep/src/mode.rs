@@ -19,23 +19,32 @@
 //! The intended `main` skeleton:
 //!
 //! ```ignore
-//! let mode = SweepMode::from_args_or_exit(&raw_args);
-//! let spec = /* built from parsed flags */;
-//! if mode.emit_spec(&spec) { return; }
-//! let rows = match mode.compute_range(spec.runs) {
-//!     Some(range) => compute(range),            // Full or Shard
-//!     None => mode.load_rows_or_exit(&spec),    // Merge
-//! };
-//! if mode.finish_shard_or_exit(&spec, &rows) { return; }
-//! report(&rows);                                // Full or Merge
+//! let cli = Cli::from_env(&[FLAGS, PROTOCOL_FLAGS]);
+//! let mode = SweepMode::from_cli(&cli).unwrap_or_else(|e| cli.fail(e));
+//! let spec = cli.spec("experiment", runs);      // derived from FLAGS
+//! if let Some(rows) = mode.rows(&spec, compute) {
+//!     report(&rows);                           // Full or Merge
+//! }                                            // else: spec printed or shard written
 //! ```
 
 use std::ops::Range;
 use std::path::PathBuf;
 
+use crate::cli::{Cli, Flag, Ty};
 use crate::rows::SweepRows;
 use crate::spec::SweepSpec;
 use crate::store::SweepStore;
+
+/// The protocol's flags, shared by every binary that speaks it. None
+/// affects results.
+pub const PROTOCOL_FLAGS: &[Flag] = &[
+    Flag::switch("emit-spec").result_neutral(),
+    Flag::optional("shard-id", Ty::Int(0)).result_neutral(),
+    Flag::optional("shard-start", Ty::Int(0)).result_neutral(),
+    Flag::optional("shard-end", Ty::Int(0)).result_neutral(),
+    Flag::optional("shard-out", Ty::Text("PATH")).result_neutral(),
+    Flag::optional("from-shards", Ty::Text("STORE")).result_neutral(),
+];
 
 /// Which of the four protocol modes the process is running in.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,82 +73,93 @@ pub enum SweepMode {
 }
 
 impl SweepMode {
-    /// Parse the protocol flags out of an argument list. Unrelated
-    /// flags are ignored (experiment binaries parse those themselves).
-    pub fn from_args(args: &[String]) -> Result<SweepMode, String> {
-        let value_of = |flag: &str| -> Result<Option<&String>, String> {
-            match args.iter().position(|a| a == flag) {
-                None => Ok(None),
-                Some(i) => args
-                    .get(i + 1)
-                    .map(Some)
-                    .ok_or_else(|| format!("{flag} needs a value")),
-            }
-        };
-        let usize_of = |flag: &str| -> Result<Option<usize>, String> {
-            value_of(flag)?
-                .map(|v| {
-                    v.parse::<usize>()
-                        .map_err(|e| format!("{flag} {v:?}: {e}"))
-                })
-                .transpose()
-        };
-
-        let emit = args.iter().any(|a| a == "--emit-spec");
-        let shard_id = usize_of("--shard-id")?;
-        let from_shards = value_of("--from-shards")?;
+    /// The mode a command line parsed with [`PROTOCOL_FLAGS`] selects.
+    /// Errors name flags that do not combine or are incomplete.
+    pub fn from_cli(cli: &Cli) -> Result<SweepMode, String> {
+        let emit = cli.on("emit-spec");
+        let shard_id = cli.opt::<usize>("shard-id");
+        let from_shards = cli.opt::<PathBuf>("from-shards");
 
         let modes_requested =
             usize::from(emit) + usize::from(shard_id.is_some()) + usize::from(from_shards.is_some());
         if modes_requested > 1 {
-            return Err(
-                "--emit-spec, --shard-id and --from-shards are mutually exclusive".into(),
-            );
+            return Err("--emit-spec, --shard-id and --from-shards are mutually exclusive".into());
         }
 
-        if emit {
-            return Ok(SweepMode::EmitSpec);
-        }
-        if let Some(root) = from_shards {
-            return Ok(SweepMode::Merge {
-                root: PathBuf::from(root),
-            });
-        }
-        if let Some(id) = shard_id {
-            let start =
-                usize_of("--shard-start")?.ok_or("--shard-id requires --shard-start")?;
-            let end = usize_of("--shard-end")?.ok_or("--shard-id requires --shard-end")?;
-            if end < start {
-                return Err(format!("--shard-end {end} < --shard-start {start}"));
+        let start = cli.opt::<usize>("shard-start");
+        let end = cli.opt::<usize>("shard-end");
+        let out = cli.opt::<PathBuf>("shard-out");
+        let Some(id) = shard_id else {
+            if start.is_some() || end.is_some() || out.is_some() {
+                return Err("--shard-start, --shard-end and --shard-out need --shard-id".into());
             }
-            return Ok(SweepMode::Shard {
-                id,
-                start,
-                end,
-                out: value_of("--shard-out")?.map(PathBuf::from),
+            return Ok(match from_shards {
+                Some(root) => SweepMode::Merge { root },
+                None if emit => SweepMode::EmitSpec,
+                None => SweepMode::Full,
             });
+        };
+        let start = start.ok_or("--shard-id requires --shard-start")?;
+        let end = end.ok_or("--shard-id requires --shard-end")?;
+        if end < start {
+            return Err(format!("--shard-end {end} < --shard-start {start}"));
         }
-        Ok(SweepMode::Full)
+        Ok(SweepMode::Shard { id, start, end, out })
     }
 
-    /// [`SweepMode::from_args`], exiting with status 2 and a message
-    /// on stderr when the flags are malformed.
-    pub fn from_args_or_exit(args: &[String]) -> SweepMode {
-        SweepMode::from_args(args).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
-    }
-
-    /// In `EmitSpec` mode: print the spec and return `true` (caller
-    /// returns immediately). `false` in every other mode.
-    pub fn emit_spec(&self, spec: &SweepSpec) -> bool {
-        if matches!(self, SweepMode::EmitSpec) {
-            println!("{}", spec.canonical_json());
-            true
-        } else {
-            false
+    /// Run the protocol for `spec`, `compute` taking a global run
+    /// range: the rows to report (Full or Merge mode), or `None` once
+    /// `EmitSpec` printed the spec or `Shard` wrote its shard file.
+    /// Exits with status 2 if a shard range reaches past `spec.runs`,
+    /// and with status 1 if shard files cannot be written or merged.
+    pub fn rows(
+        &self,
+        spec: &SweepSpec,
+        compute: impl FnOnce(Range<usize>) -> SweepRows,
+    ) -> Option<SweepRows> {
+        match self {
+            SweepMode::EmitSpec => {
+                println!("{}", spec.canonical_json());
+                return None;
+            }
+            SweepMode::Merge { root } => match SweepStore::new(root).load_merged(spec) {
+                Ok((rows, _stats)) => return Some(rows),
+                Err(e) => {
+                    eprintln!("error: cannot merge shards for spec {}: {e}", spec.hash_hex());
+                    std::process::exit(1);
+                }
+            },
+            SweepMode::Shard { end, .. } if *end > spec.runs => {
+                eprintln!("error: --shard-end {end} exceeds the run count {}", spec.runs);
+                std::process::exit(2);
+            }
+            SweepMode::Full | SweepMode::Shard { .. } => {}
         }
+        let range = self.compute_range(spec.runs).expect("Full and Shard modes compute runs");
+        let rows = compute(range);
+        let SweepMode::Shard { id, start, end, out } = self else {
+            return Some(rows);
+        };
+        let result = match out {
+            Some(path) => crate::store::write_atomic(
+                path,
+                crate::store::encode_shard(spec, *id, *start..*end, &rows).as_bytes(),
+            )
+            .map(|()| path.clone()),
+            None => SweepStore::default_root().write_shard(spec, *id, *start..*end, &rows),
+        };
+        match result {
+            Ok(path) => eprintln!(
+                "shard {id} [{start}..{end}) of spec {} -> {}",
+                spec.hash_hex(),
+                path.display()
+            ),
+            Err(e) => {
+                eprintln!("error: cannot write shard file: {e}");
+                std::process::exit(1);
+            }
+        }
+        None
     }
 
     /// The global run range this process must compute, or `None` in
@@ -164,74 +184,11 @@ impl SweepMode {
         }
     }
 
-    /// `true` when running as a shard (used to silence stdout and
-    /// namespace observability output).
-    pub fn is_shard(&self) -> bool {
-        matches!(self, SweepMode::Shard { .. })
-    }
-
     /// The shard id, when in shard mode.
     pub fn shard_id(&self) -> Option<usize> {
         match self {
             SweepMode::Shard { id, .. } => Some(*id),
             _ => None,
-        }
-    }
-
-    /// `true` when a report will be printed (Full or Merge mode).
-    pub fn reports(&self) -> bool {
-        matches!(self, SweepMode::Full | SweepMode::Merge { .. })
-    }
-
-    /// In `Merge` mode: load and merge this spec's shard files from
-    /// the store, exiting with a diagnostic if they are absent,
-    /// corrupt, or not an exact partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called in a non-merge mode (`compute_range` returned
-    /// a range, so there is nothing to load).
-    pub fn load_rows_or_exit(&self, spec: &SweepSpec) -> SweepRows {
-        let SweepMode::Merge { root } = self else {
-            panic!("load_rows_or_exit outside merge mode");
-        };
-        match SweepStore::new(root).load_merged(spec) {
-            Ok((rows, _stats)) => rows,
-            Err(e) => {
-                eprintln!("error: cannot merge shards for spec {}: {e}", spec.hash_hex());
-                std::process::exit(1);
-            }
-        }
-    }
-
-    /// In `Shard` mode: write the shard file and return `true` (caller
-    /// returns without reporting). `false` in every other mode.
-    /// Exits with a diagnostic if the file cannot be written.
-    pub fn finish_shard_or_exit(&self, spec: &SweepSpec, rows: &SweepRows) -> bool {
-        let SweepMode::Shard { id, start, end, out } = self else {
-            return false;
-        };
-        let result = match out {
-            Some(path) => crate::store::write_atomic(
-                path,
-                crate::store::encode_shard(spec, *id, *start..*end, rows).as_bytes(),
-            )
-            .map(|()| path.clone()),
-            None => SweepStore::default_root().write_shard(spec, *id, *start..*end, rows),
-        };
-        match result {
-            Ok(path) => {
-                eprintln!(
-                    "shard {id} [{start}..{end}) of spec {} -> {}",
-                    spec.hash_hex(),
-                    path.display()
-                );
-                true
-            }
-            Err(e) => {
-                eprintln!("error: cannot write shard file: {e}");
-                std::process::exit(1);
-            }
         }
     }
 }
@@ -240,57 +197,49 @@ impl SweepMode {
 mod tests {
     use super::*;
 
-    fn args(s: &[&str]) -> Vec<String> {
-        s.iter().map(|x| x.to_string()).collect()
+    fn mode(s: &[&str]) -> Result<SweepMode, String> {
+        let args: Vec<String> = s.iter().map(|x| x.to_string()).collect();
+        const RUNS: &[Flag] = &[Flag::int("runs", "8")];
+        SweepMode::from_cli(&Cli::parse("t", &args, &[RUNS, PROTOCOL_FLAGS])?)
     }
 
     #[test]
     fn full_mode_when_no_protocol_flags() {
-        let m = SweepMode::from_args(&args(&["--runs", "8", "--seed", "3"])).unwrap();
+        let m = mode(&["--runs", "8"]).unwrap();
         assert_eq!(m, SweepMode::Full);
         assert_eq!(m.compute_range(8), Some(0..8));
-        assert!(m.reports());
-        assert!(!m.is_shard());
     }
 
     #[test]
     fn shard_mode_parses_range_and_out() {
-        let m = SweepMode::from_args(&args(&[
-            "--runs", "8", "--shard-id", "1", "--shard-start", "4", "--shard-end", "8",
+        let m = mode(&[
+            "--runs", "8", "--shard-id", "1", "--shard-start", "4", "--shard-end=8",
             "--shard-out", "/tmp/x.json",
-        ]))
+        ])
         .unwrap();
         assert_eq!(m.compute_range(8), Some(4..8));
         assert_eq!(m.shard_id(), Some(1));
-        assert!(m.is_shard());
-        assert!(!m.reports());
     }
 
     #[test]
     fn merge_mode_has_no_compute_range() {
-        let m = SweepMode::from_args(&args(&["--from-shards", "/tmp/store"])).unwrap();
+        let m = mode(&["--from-shards", "/tmp/store"]).unwrap();
         assert_eq!(m.compute_range(8), None);
-        assert!(m.reports());
     }
 
     #[test]
     fn malformed_flags_are_rejected() {
-        assert!(SweepMode::from_args(&args(&["--shard-id", "0"])).is_err());
-        assert!(SweepMode::from_args(&args(&["--shard-id"])).is_err());
-        assert!(SweepMode::from_args(&args(&[
-            "--shard-id", "0", "--shard-start", "5", "--shard-end", "2",
-        ]))
-        .is_err());
-        assert!(SweepMode::from_args(&args(&["--emit-spec", "--from-shards", "x"])).is_err());
+        assert!(mode(&["--shard-id", "0"]).is_err());
+        assert!(mode(&["--shard-id"]).is_err());
+        assert!(mode(&["--shard-id", "0", "--shard-start", "5", "--shard-end", "2"]).is_err());
+        assert!(mode(&["--shard-start", "0", "--shard-end", "2"]).is_err());
+        assert!(mode(&["--emit-spec", "--from-shards", "x"]).is_err());
     }
 
     #[test]
     #[should_panic(expected = "exceeds")]
     fn shard_range_beyond_runs_panics() {
-        let m = SweepMode::from_args(&args(&[
-            "--shard-id", "0", "--shard-start", "0", "--shard-end", "9",
-        ]))
-        .unwrap();
+        let m = mode(&["--shard-id", "0", "--shard-start", "0", "--shard-end", "9"]).unwrap();
         let _ = m.compute_range(8);
     }
 }

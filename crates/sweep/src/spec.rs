@@ -35,7 +35,7 @@ pub struct SweepSpec {
     /// Total number of runs the full sweep performs.
     pub runs: usize,
     /// Result-affecting flags, keyed by long-option name without the
-    /// leading `--`. Value-less flags store an empty string.
+    /// leading `--`. Switches that are on store an empty string.
     pub args: BTreeMap<String, String>,
 }
 
@@ -55,12 +55,6 @@ impl SweepSpec {
     /// for, only on what it resolved to.
     pub fn arg(mut self, key: &str, value: impl Display) -> Self {
         self.args.insert(key.to_string(), value.to_string());
-        self
-    }
-
-    /// Record a value-less flag (`--key`).
-    pub fn flag(mut self, key: &str) -> Self {
-        self.args.insert(key.to_string(), String::new());
         self
     }
 
@@ -99,23 +93,6 @@ impl SweepSpec {
     /// digits. Names the sweep's directory under the results store.
     pub fn hash_hex(&self) -> String {
         format!("{:016x}", fnv1a64(self.canonical_json().as_bytes()))
-    }
-
-    /// Reconstruct the command-line argument vector (excluding the
-    /// binary name) that reproduces this spec: `--runs N` followed by
-    /// each recorded flag in sorted-key order.
-    pub fn argv(&self) -> Vec<String> {
-        let mut out = vec!["--runs".to_string(), self.runs.to_string()];
-        for (k, v) in &self.args {
-            if k == "runs" {
-                continue;
-            }
-            out.push(format!("--{k}"));
-            if !v.is_empty() {
-                out.push(v.clone());
-            }
-        }
-        out
     }
 
     /// Parse a spec back from its JSON encoding (canonical or not —
@@ -264,15 +241,6 @@ mod tests {
         let back = SweepSpec::from_json_str(&s.canonical_json()).unwrap();
         assert_eq!(back, s);
         assert_eq!(back.base_seed(), 55);
-    }
-
-    #[test]
-    fn argv_reproduces_flags() {
-        let s = SweepSpec::new("t", 7).arg("seed", 9).flag("link-stats");
-        assert_eq!(
-            s.argv(),
-            vec!["--runs", "7", "--link-stats", "--seed", "9"]
-        );
     }
 
     #[test]

@@ -178,3 +178,35 @@ fn manifest_lists_the_partition() {
     // no store entry is created by a manifest-only invocation
     assert!(!store.exists());
 }
+
+#[test]
+fn selftest_flags_are_strict_and_each_moves_the_spec() {
+    let out = Command::new(SELFTEST).args(["--runs", "x"]).output().expect("run selftest");
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("error: --runs expects an integer, got x"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+
+    let spec = |args: &[&str]| {
+        let out = Command::new(SELFTEST).args(args).arg("--emit-spec").output();
+        let out = out.expect("run selftest --emit-spec");
+        assert!(out.status.success(), "{args:?}: {}", stderr_of(&out));
+        out.stdout
+    };
+    let help = Command::new(SELFTEST).arg("--help").output().expect("run selftest --help");
+    assert!(help.status.success());
+    let base = spec(&[]);
+    let mut moved = 0;
+    // Every flag with a default is the selftest's own (the protocol
+    // flags have none); one step off it must change the spec.
+    for line in String::from_utf8(help.stdout).unwrap().lines().skip(1) {
+        let tokens: Vec<&str> = line.split_whitespace().collect();
+        if let Some(i) = tokens.iter().position(|&t| t == "default") {
+            let bumped = (tokens[i + 1].parse::<u64>().unwrap() + 1).to_string();
+            let bumped_spec = spec(&[tokens[0], &bumped]);
+            assert_ne!(bumped_spec, base, "{} {bumped} left the spec unchanged", tokens[0]);
+            moved += 1;
+        }
+    }
+    assert_eq!(moved, 3, "--runs, --len and --seed");
+}
