@@ -31,31 +31,11 @@ pub struct CostModel {
 
 impl CostModel {
     /// Extract worst-case end-to-end parameters from a topology: α is
-    /// the zero-byte cost over the longest rank-to-rank route, β the
-    /// summed per-hop serialization cost over the same route
+    /// the zero-byte cost over the worst canonical route out of rank 0,
+    /// β the summed per-hop serialization cost over the same route
     /// (store-and-forward: every hop re-serializes the payload).
     pub fn from_topology(topo: &Topology) -> Self {
-        let p = topo.ranks();
-        if p < 2 {
-            return CostModel {
-                alpha_ns: 0.0,
-                beta_ns_per_byte: 0.0,
-            };
-        }
-        let (mut alpha, mut beta) = (0.0f64, 0.0f64);
-        for r in 1..p {
-            let route = topo.route(0, r);
-            let a: f64 = route.iter().map(|h| h.link.latency_ns).sum();
-            let b: f64 = route.iter().map(|h| h.link.ns_per_byte).sum();
-            if a + b > alpha + beta {
-                alpha = a;
-                beta = b;
-            }
-        }
-        CostModel {
-            alpha_ns: alpha,
-            beta_ns_per_byte: beta,
-        }
+        Self::worst_pair(topo, |a, _| a == 0)
     }
 
     /// Worst-case α–β parameters over the **same-group** rank pairs

@@ -11,9 +11,11 @@
 //!    (resumability), and spawns one OS process per missing shard,
 //!    at most `jobs` at a time;
 //! 4. removes shard files left over from a different partition, then
-//!    spawns the binary once more in `--from-shards` mode to merge and
-//!    print the report — byte-identical to a single-process run;
-//! 5. caches the report bytes for the next identical query.
+//!    spawns the binary once more in `--from-shards` mode to validate
+//!    and merge the shard files and print the report — byte-identical
+//!    to a single-process run, or exit 1 if the files do not merge;
+//! 5. caches the report bytes for the next identical query when the
+//!    merge process exited 0.
 //!
 //! Shard boundaries and per-run seeds are pure functions of the spec,
 //! so the same manifest can be split across machines: run the listed
@@ -200,23 +202,22 @@ impl Coordinator {
             .remove_stale_shards(&spec, &assignments)
             .map_err(|e| format!("cannot prune stale shard files: {e}"))?;
 
-        // Validate the partition before paying for the merge process;
-        // also yields the exact-stats fingerprint for the summary.
-        let (_rows, stats) = self.store.load_merged(&spec)?;
-        eprintln!("sweep: exact-stats fingerprint {:016x}", stats.fingerprint());
-
-        let (report, merge_status) = self.merge(&spec)?;
-        if !self.no_cache && merge_status == 0 {
-            self.store
-                .write_report(&spec, &report)
-                .map_err(|e| format!("cannot cache report: {e}"))?;
+        let (report, merge_status) = self.merge()?;
+        if merge_status != 0 {
+            eprintln!("sweep: merge process exited with status {merge_status}; report not cached");
+        } else {
+            if !self.no_cache {
+                self.store
+                    .write_report(&spec, &report)
+                    .map_err(|e| format!("cannot cache report: {e}"))?;
+            }
+            eprintln!(
+                "sweep: report merged from {} shards ({} computed, {} cached)",
+                assignments.len(),
+                computed_shards.len(),
+                cached_shards.len()
+            );
         }
-        eprintln!(
-            "sweep: report merged from {} shards ({} computed, {} cached)",
-            assignments.len(),
-            computed_shards.len(),
-            cached_shards.len()
-        );
         Ok(RunOutcome {
             spec,
             report,
@@ -288,8 +289,10 @@ impl Coordinator {
         Ok(computed)
     }
 
-    /// Spawn the merge process and capture the report bytes.
-    fn merge(&self, _spec: &SweepSpec) -> Result<(Vec<u8>, i32), String> {
+    /// Spawn the merge process and capture the report bytes. The merge
+    /// process validates the shard files itself and exits 1 when they
+    /// do not merge.
+    fn merge(&self) -> Result<(Vec<u8>, i32), String> {
         let mut cmd = self.command()?;
         cmd.args([
             "--from-shards".to_string(),

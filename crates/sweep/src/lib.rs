@@ -12,13 +12,12 @@
 //!   the runs as a pure function of `(runs, shards)`.
 //! * [`rows`] — the shardable result model: per-(cell, global-run)
 //!   metric rows whose merge in index order is bitwise the
-//!   single-process row set, plus [`rows::ExactStats`] built on
-//!   `fpna-summation`'s [`fpna_summation::ExactAccumulator`] for
-//!   partition-invariant cross-shard statistics.
+//!   single-process row set, and whose [`rows::SweepRows::digest`]
+//!   lets a shard file prove its payload arrived intact.
 //! * [`store`] — the resumable, content-addressed results store under
 //!   `target/sweeps/<spec-hash>/`: self-describing shard files,
-//!   atomic writes, stale-partition detection, and a cached merged
-//!   report.
+//!   atomic writes, stale-partition and completeness checks, and a
+//!   cached merged report.
 //! * [`cli`] — the one argv parser: each binary's declarative flag
 //!   table, strict parsing, `--help`, and the spec derived from the
 //!   result-affecting flags.
@@ -28,8 +27,6 @@
 //! * [`coordinator`] — spawns shard processes (bounded, resumable),
 //!   merges via the binary itself, and caches the report; the `sweep`
 //!   binary is its CLI.
-//! * [`service`] — ref-counted in-process shard sharing for drivers
-//!   that issue many overlapping sweep queries from one process.
 //!
 //! The end-to-end contract, enforced by tests at every layer: a
 //! sharded-and-merged sweep prints **byte-identical** output to the
@@ -41,14 +38,12 @@ pub mod cli;
 pub mod coordinator;
 pub mod mode;
 pub mod rows;
-pub mod service;
 pub mod spec;
 pub mod store;
 
 pub use cli::{Cli, Flag, Ty};
 pub use coordinator::{Coordinator, RunOutcome};
 pub use mode::{SweepMode, PROTOCOL_FLAGS};
-pub use rows::{ExactStats, SweepRows};
-pub use service::{ShardHandle, SweepService};
+pub use rows::SweepRows;
 pub use spec::{shard_assignments, ShardAssignment, SweepSpec};
 pub use store::{GcOutcome, StoreEntry, SweepStore};

@@ -123,7 +123,7 @@ impl SweepMode {
                 return None;
             }
             SweepMode::Merge { root } => match SweepStore::new(root).load_merged(spec) {
-                Ok((rows, _stats)) => return Some(rows),
+                Ok(rows) => return Some(rows),
                 Err(e) => {
                     eprintln!("error: cannot merge shards for spec {}: {e}", spec.hash_hex());
                     std::process::exit(1);

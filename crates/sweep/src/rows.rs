@@ -12,19 +12,14 @@
 //!
 //! Values cross process boundaries as 16-hex-digit [`f64::to_bits`]
 //! strings ([`f64_to_hex`] / [`f64_from_hex`]), never as decimal
-//! text, so serialization is lossless by construction.
-//!
-//! [`ExactStats`] folds every column of every cell into an
-//! [`ExactAccumulator`] — the error-free summation primitive from
-//! `fpna-summation` — giving cross-shard statistics whose merge is
-//! provably partition-invariant and a cheap [`ExactStats::fingerprint`]
-//! for coordinator summaries and store validation.
+//! text, so serialization is lossless by construction, and
+//! [`SweepRows::digest`] lets a reader check that what it decoded is
+//! what the writer encoded.
 
 use std::collections::BTreeMap;
 
 use fpna_core::harness::{RunSummary, VariabilityReport};
 use fpna_core::metrics::ArrayComparison;
-use fpna_summation::ExactAccumulator;
 
 /// Encode an `f64` as its 16-hex-digit bit pattern.
 #[inline]
@@ -91,15 +86,6 @@ impl SweepRows {
     /// `(cell, runs-in-index-order)`.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &BTreeMap<usize, Vec<f64>>)> {
         self.cells.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// The runs recorded for `cell`, in index order. Empty for an
-    /// unknown cell.
-    pub fn runs(&self, cell: &str) -> Vec<usize> {
-        self.cells
-            .get(cell)
-            .map(|m| m.keys().copied().collect())
-            .unwrap_or_default()
     }
 
     /// The values stored at `(cell, run)`.
@@ -175,123 +161,21 @@ impl SweepRows {
         Ok(())
     }
 
-    /// Check that `cell`'s recorded runs are exactly `expected` (an
-    /// index range) — the coordinator's completeness gate before
-    /// reporting.
-    pub fn check_coverage(
-        &self,
-        cell: &str,
-        expected: std::ops::Range<usize>,
-    ) -> Result<(), String> {
-        let runs = self.runs(cell);
-        let want: Vec<usize> = expected.clone().collect();
-        if runs == want {
-            Ok(())
-        } else {
-            Err(format!(
-                "cell {cell:?}: have {} runs, expected exactly {:?}",
-                runs.len(),
-                expected
-            ))
-        }
-    }
-}
-
-/// Exact per-cell column sums across runs, built on
-/// [`ExactAccumulator`] so merging per-shard stats in shard-index
-/// order reproduces the single-process sums bitwise.
-#[derive(Debug, Clone, Default)]
-pub struct ExactStats {
-    cells: BTreeMap<String, CellStats>,
-}
-
-/// Exact statistics for one cell: row count and one exact sum per
-/// column.
-#[derive(Debug, Clone)]
-pub struct CellStats {
-    /// Number of rows folded in.
-    pub count: usize,
-    /// One exact accumulator per column, normalized.
-    pub sums: Vec<ExactAccumulator>,
-}
-
-impl ExactStats {
-    /// Fold a row set into exact per-cell, per-column sums.
-    pub fn from_rows(rows: &SweepRows) -> Self {
-        let mut cells = BTreeMap::new();
-        for (cell, runs) in rows.iter() {
-            let width = runs.values().map(Vec::len).max().unwrap_or(0);
-            let mut sums = vec![ExactAccumulator::new(); width];
-            let mut count = 0usize;
-            for values in runs.values() {
-                count += 1;
-                for (col, &v) in values.iter().enumerate() {
-                    sums[col].add(v);
-                }
-            }
-            for s in &mut sums {
-                s.normalize();
-            }
-            cells.insert(cell.to_string(), CellStats { count, sums });
-        }
-        ExactStats { cells }
-    }
-
-    /// Iterate cells in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &CellStats)> {
-        self.cells.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Stats for one cell.
-    pub fn cell(&self, cell: &str) -> Option<&CellStats> {
-        self.cells.get(cell)
-    }
-
-    /// Insert (or replace) one cell's stats — the deserialization path
-    /// for shard files.
-    pub fn insert_cell(&mut self, cell: String, stats: CellStats) {
-        self.cells.insert(cell, stats);
-    }
-
-    /// Merge another shard's stats into this one. Exactness of
-    /// [`ExactAccumulator::merge`] makes the result independent of how
-    /// runs were partitioned; calling in shard-index order keeps
-    /// `count` bookkeeping deterministic too.
-    pub fn merge_from(&mut self, other: &ExactStats) {
-        for (cell, stats) in other.cells.iter() {
-            match self.cells.get_mut(cell) {
-                None => {
-                    self.cells.insert(cell.clone(), stats.clone());
-                }
-                Some(mine) => {
-                    mine.count += stats.count;
-                    if mine.sums.len() < stats.sums.len() {
-                        mine.sums
-                            .resize_with(stats.sums.len(), ExactAccumulator::new);
-                    }
-                    for (col, acc) in stats.sums.iter().enumerate() {
-                        mine.sums[col].merge(acc);
-                        mine.sums[col].normalize();
-                    }
-                }
-            }
-        }
-    }
-
-    /// FNV-1a 64 digest of every cell name, count, and normalized
-    /// accumulator wire encoding — a cheap bitwise fingerprint of the
-    /// whole statistic set, used in coordinator summaries and the
-    /// partition-invariance tests.
-    pub fn fingerprint(&self) -> u64 {
+    /// FNV-1a 64 digest of every cell name, run index and value bit
+    /// pattern, in cell-name then run-index order. Shard files record
+    /// it so a decoder can reject a payload that changed in transit.
+    pub fn digest(&self) -> u64 {
         let mut bytes = Vec::new();
-        for (cell, stats) in &self.cells {
+        for (cell, runs) in &self.cells {
             bytes.extend_from_slice(cell.as_bytes());
             bytes.push(0);
-            bytes.extend_from_slice(&(stats.count as u64).to_le_bytes());
-            for acc in &stats.sums {
-                let mut a = acc.clone();
-                a.normalize();
-                bytes.extend_from_slice(&a.to_wire_bytes());
+            bytes.extend_from_slice(&(runs.len() as u64).to_le_bytes());
+            for (&run, values) in runs {
+                bytes.extend_from_slice(&(run as u64).to_le_bytes());
+                bytes.extend_from_slice(&(values.len() as u64).to_le_bytes());
+                for v in values {
+                    bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+                }
             }
         }
         crate::spec::fnv1a64(&bytes)
@@ -330,8 +214,6 @@ mod tests {
         merged.absorb(sample_rows(7..10)).unwrap();
         assert_eq!(merged, full);
         assert_eq!(merged.row_count(), 20);
-        merged.check_coverage("a", 0..10).unwrap();
-        assert!(merged.check_coverage("a", 0..11).is_err());
     }
 
     #[test]
@@ -362,23 +244,31 @@ mod tests {
     }
 
     #[test]
-    fn exact_stats_merge_is_partition_invariant() {
-        let full = ExactStats::from_rows(&sample_rows(0..50));
-        for cuts in [vec![0, 50], vec![0, 13, 50], vec![0, 1, 2, 49, 50]] {
-            let mut merged = ExactStats::default();
-            for w in cuts.windows(2) {
-                merged.merge_from(&ExactStats::from_rows(&sample_rows(w[0]..w[1])));
-            }
-            assert_eq!(merged.fingerprint(), full.fingerprint());
-            let cell = merged.cell("a").unwrap();
-            assert_eq!(cell.count, 50);
+    fn digest_tracks_value_bits_run_indices_and_cell_names() {
+        let base = sample_rows(0..5);
+        assert_eq!(sample_rows(0..5).digest(), base.digest());
+        let edited = |edit: fn(&mut SweepRows)| {
+            let mut rows = base.clone();
+            edit(&mut rows);
+            rows
+        };
+        let cases = [
+            ("value bit", edited(|r| {
+                let v = &mut r.cells.get_mut("a").unwrap().get_mut(&2).unwrap()[1];
+                *v = f64::from_bits(v.to_bits() ^ 1);
+            })),
+            ("run index", edited(|r| {
+                let runs = r.cells.get_mut("a").unwrap();
+                let v = runs.remove(&4).unwrap();
+                runs.insert(7, v);
+            })),
+            ("cell name", edited(|r| {
+                let runs = r.cells.remove("b").unwrap();
+                r.cells.insert("c".into(), runs);
+            })),
+        ];
+        for (what, changed) in cases {
+            assert_ne!(changed.digest(), base.digest(), "a changed {what} must move the digest");
         }
-    }
-
-    #[test]
-    fn fingerprint_tracks_content() {
-        let a = ExactStats::from_rows(&sample_rows(0..5));
-        let b = ExactStats::from_rows(&sample_rows(0..6));
-        assert_ne!(a.fingerprint(), b.fingerprint());
     }
 }

@@ -9,11 +9,14 @@
 //!
 //! Each shard file is self-describing: it embeds the full spec, the
 //! spec hash, its shard id, and its global run range, so a file copied
-//! from another machine can be validated before it is merged.
+//! from another machine can be validated before it is merged. It also
+//! records the [`SweepRows::digest`] of its rows, which the decoder
+//! recomputes, and holds only rows inside its own run range.
 //! [`SweepStore::load_merged`] refuses to merge anything that is not
-//! an exact partition of `0..runs` — stale files from a run with a
-//! different shard count fail loudly instead of silently double
-//! counting.
+//! an exact partition of `0..runs`, and any cell that then misses a
+//! run past its first — stale files from a run with a different shard
+//! count, or a shard missing rows, fail loudly instead of silently
+//! double counting or reporting fewer runs.
 //!
 //! Writes are atomic (`.tmp.<pid>` then rename), so a shard killed
 //! mid-write leaves no partial file and a concurrent reader never sees
@@ -21,17 +24,16 @@
 
 use std::fs;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
-use fpna_summation::ExactAccumulator;
-
 use fpna_obs::json::{self, Value};
-use crate::rows::{f64_from_hex, f64_to_hex, CellStats, ExactStats, SweepRows};
+use crate::rows::{f64_from_hex, f64_to_hex, SweepRows};
 use crate::spec::SweepSpec;
 
 /// Schema tag written into every shard file.
-pub const SHARD_SCHEMA: &str = "fpna-sweep-shard-v1";
+pub const SHARD_SCHEMA: &str = "fpna-sweep-shard-v2";
 
 /// A decoded shard result file.
 #[derive(Debug, Clone)]
@@ -43,11 +45,9 @@ pub struct ShardFile {
     /// Shard index.
     pub shard_id: usize,
     /// Global run range `[run_start, run_end)` the shard computed.
-    pub run_range: std::ops::Range<usize>,
-    /// The shard's rows.
+    pub run_range: Range<usize>,
+    /// The shard's rows, all inside `run_range`.
     pub rows: SweepRows,
-    /// Exact per-cell column sums over the shard's rows.
-    pub stats: ExactStats,
 }
 
 /// Handle on a results store root directory.
@@ -93,7 +93,7 @@ impl SweepStore {
         &self,
         spec: &SweepSpec,
         shard_id: usize,
-        run_range: std::ops::Range<usize>,
+        run_range: Range<usize>,
         rows: &SweepRows,
     ) -> io::Result<PathBuf> {
         let path = self.shard_path(spec, shard_id);
@@ -113,7 +113,7 @@ impl SweepStore {
         &self,
         spec: &SweepSpec,
         shard_id: usize,
-        expected_range: std::ops::Range<usize>,
+        expected_range: Range<usize>,
     ) -> Option<ShardFile> {
         let path = self.shard_path(spec, shard_id);
         let text = fs::read_to_string(&path).ok()?;
@@ -125,15 +125,15 @@ impl SweepStore {
     }
 
     /// Load **all** shard files under `spec`'s directory and merge
-    /// them, in shard-index order, into one row set and one exact
-    /// statistic set.
+    /// them, in shard-index order, into one row set.
     ///
     /// Fails unless the files form an exact partition of
-    /// `0..spec.runs`: wrong hash, overlapping or gapped ranges, and
-    /// duplicate shard ids are all hard errors. (Empty-range shards —
-    /// produced when `shards > runs` — are accepted and contribute
-    /// nothing.)
-    pub fn load_merged(&self, spec: &SweepSpec) -> Result<(SweepRows, ExactStats), String> {
+    /// `0..spec.runs` and every merged cell holds every run from its
+    /// first one up to `spec.runs`: wrong hash, overlapping or gapped
+    /// ranges, duplicate shard ids and missing rows are all hard
+    /// errors. (Empty-range shards — produced when `shards > runs` —
+    /// are accepted and contribute nothing.)
+    pub fn load_merged(&self, spec: &SweepSpec) -> Result<SweepRows, String> {
         let dir = self.sweep_dir(spec);
         let mut shards: Vec<ShardFile> = Vec::new();
         let entries = fs::read_dir(&dir)
@@ -162,38 +162,27 @@ impl SweepStore {
             return Err("duplicate shard ids in store".into());
         }
 
-        // The non-empty ranges must tile 0..runs exactly.
-        let mut covered = 0usize;
-        let mut ranges: Vec<_> = shards
-            .iter()
-            .filter(|s| !s.run_range.is_empty())
-            .map(|s| s.run_range.clone())
-            .collect();
-        ranges.sort_by_key(|r| r.start);
-        for r in &ranges {
-            if r.start != covered {
-                return Err(format!(
-                    "shard ranges do not tile 0..{}: gap or overlap at run {} (next range starts at {}) — \
-                     remove stale shard files or re-run with --refresh",
-                    spec.runs, covered, r.start
-                ));
-            }
-            covered = r.end;
-        }
-        if covered != spec.runs {
-            return Err(format!(
-                "shard ranges cover only 0..{covered} of 0..{} — missing shards",
-                spec.runs
-            ));
-        }
+        check_tiling(shards.iter().map(|s| s.run_range.clone()).collect(), spec.runs)?;
 
         let mut rows = SweepRows::new();
-        let mut stats = ExactStats::default();
         for shard in shards {
             rows.absorb(shard.rows)?;
-            stats.merge_from(&shard.stats);
         }
-        Ok((rows, stats))
+        for (cell, runs) in rows.iter() {
+            // A cell may skip leading runs (a self-referenced op's run 0
+            // is its reference, not a row); past its first run, every
+            // run up to `spec.runs` must be there.
+            let first = runs.keys().next().copied().unwrap_or(0);
+            if !runs.keys().copied().eq(first..spec.runs) {
+                return Err(format!(
+                    "cell {cell:?} holds {} runs, not every run in {first}..{} — \
+                     a shard file is missing rows",
+                    runs.len(),
+                    spec.runs
+                ));
+            }
+        }
+        Ok(rows)
     }
 
     /// Cache the merged report bytes for `spec` (atomic write).
@@ -321,7 +310,7 @@ impl SweepStore {
         let mut newest_mtime = fs::metadata(dir)?.modified()?;
         let mut has_report = false;
         let mut spec: Option<SweepSpec> = None;
-        let mut ranges: Vec<std::ops::Range<usize>> = Vec::new();
+        let mut ranges: Vec<Range<usize>> = Vec::new();
         let mut shard_count = 0usize;
         let mut all_match = true;
         for file in fs::read_dir(dir)? {
@@ -346,27 +335,15 @@ impl SweepStore {
                     Some(shard) => {
                         shard_count += 1;
                         all_match &= shard.spec_hash == hash;
-                        if !shard.run_range.is_empty() {
-                            ranges.push(shard.run_range.clone());
-                        }
+                        ranges.push(shard.run_range);
                         spec.get_or_insert(shard.spec);
                     }
                     None => all_match = false,
                 }
             }
         }
-        ranges.sort_by_key(|r| r.start);
-        let complete = all_match
-            && spec.as_ref().is_some_and(|s| {
-                let mut covered = 0usize;
-                for r in &ranges {
-                    if r.start != covered {
-                        return false;
-                    }
-                    covered = r.end;
-                }
-                covered == s.runs
-            });
+        let complete =
+            all_match && spec.as_ref().is_some_and(|s| check_tiling(ranges, s.runs).is_ok());
         Ok(StoreEntry {
             hash,
             spec,
@@ -444,6 +421,28 @@ impl SweepStore {
     }
 }
 
+/// Check that the non-empty `ranges` tile `0..runs` exactly: no gap,
+/// no overlap, nothing past the end.
+fn check_tiling(mut ranges: Vec<Range<usize>>, runs: usize) -> Result<(), String> {
+    ranges.retain(|r| !r.is_empty());
+    ranges.sort_by_key(|r| r.start);
+    let mut covered = 0usize;
+    for r in &ranges {
+        if r.start != covered {
+            return Err(format!(
+                "shard ranges do not tile 0..{runs}: gap or overlap at run {covered} (next range starts at {}) — \
+                 remove stale shard files or re-run with --refresh",
+                r.start
+            ));
+        }
+        covered = r.end;
+    }
+    if covered != runs {
+        return Err(format!("shard ranges cover only 0..{covered} of 0..{runs} — missing shards"));
+    }
+    Ok(())
+}
+
 /// Atomically write `bytes` to `path`: parent dirs created, content
 /// written to a pid-suffixed temp file, then renamed into place.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -459,10 +458,9 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 pub fn encode_shard(
     spec: &SweepSpec,
     shard_id: usize,
-    run_range: std::ops::Range<usize>,
+    run_range: Range<usize>,
     rows: &SweepRows,
 ) -> String {
-    let stats = ExactStats::from_rows(rows);
     let cells = rows
         .iter()
         .map(|(cell, runs)| {
@@ -485,23 +483,6 @@ pub fn encode_shard(
             )
         })
         .collect();
-    let stat_members = stats
-        .iter()
-        .map(|(cell, cs)| {
-            let sums = cs
-                .sums
-                .iter()
-                .map(|acc| Value::Str(bytes_to_hex(&acc.to_wire_bytes())))
-                .collect();
-            (
-                cell.to_string(),
-                Value::Obj(vec![
-                    ("count".into(), Value::Num(cs.count as f64)),
-                    ("sums".into(), Value::Arr(sums)),
-                ]),
-            )
-        })
-        .collect();
     Value::Obj(vec![
         ("schema".into(), Value::Str(SHARD_SCHEMA.into())),
         ("spec_hash".into(), Value::Str(spec.hash_hex())),
@@ -510,7 +491,7 @@ pub fn encode_shard(
         ("run_start".into(), Value::Num(run_range.start as f64)),
         ("run_end".into(), Value::Num(run_range.end as f64)),
         ("cells".into(), Value::Obj(cells)),
-        ("stats".into(), Value::Obj(stat_members)),
+        ("digest".into(), Value::Str(format!("{:016x}", rows.digest()))),
     ])
     .to_json()
 }
@@ -563,6 +544,14 @@ pub fn decode_shard(text: &str) -> Result<ShardFile, String> {
         }
         for (run_v, vals_v) in runs.iter().zip(values) {
             let run = run_v.as_usize().ok_or("run index must be an integer")?;
+            if !(run_start..run_end).contains(&run) {
+                return Err(format!(
+                    "cell {cell:?}: run {run} outside the shard's range {run_start}..{run_end}"
+                ));
+            }
+            if rows.values(cell, run).is_some() {
+                return Err(format!("cell {cell:?}: run {run} appears twice"));
+            }
             let vals = vals_v
                 .as_arr()
                 .ok_or("row values must be an array")?
@@ -577,12 +566,11 @@ pub fn decode_shard(text: &str) -> Result<ShardFile, String> {
         }
     }
 
-    // Recompute stats from rows and cross-check against the recorded
-    // ones — a cheap end-to-end integrity check on the payload.
-    let stats = ExactStats::from_rows(&rows);
-    let recorded = decode_stats(&v)?;
-    if recorded.fingerprint() != stats.fingerprint() {
-        return Err("recorded stats do not match row payload — corrupt shard file".into());
+    // Recompute the digest and cross-check it against the recorded
+    // one — a cheap end-to-end integrity check on the payload.
+    let recorded = v.get("digest").and_then(Value::as_str).ok_or("missing digest")?;
+    if recorded != format!("{:016x}", rows.digest()) {
+        return Err("recorded digest does not match row payload — corrupt shard file".into());
     }
 
     Ok(ShardFile {
@@ -591,55 +579,7 @@ pub fn decode_shard(text: &str) -> Result<ShardFile, String> {
         shard_id,
         run_range: run_start..run_end,
         rows,
-        stats,
     })
-}
-
-fn decode_stats(v: &Value) -> Result<ExactStats, String> {
-    let mut out = ExactStats::default();
-    let members = v
-        .get("stats")
-        .and_then(Value::as_obj)
-        .ok_or("missing stats")?;
-    for (cell, entry) in members {
-        let count = entry
-            .get("count")
-            .and_then(Value::as_usize)
-            .ok_or("stats missing count")?;
-        let sums = entry
-            .get("sums")
-            .and_then(Value::as_arr)
-            .ok_or("stats missing sums")?
-            .iter()
-            .map(|s| {
-                let hex = s.as_str().ok_or("stat sum must be a hex string")?;
-                let bytes = bytes_from_hex(hex)?;
-                ExactAccumulator::from_wire_bytes(&bytes)
-                    .ok_or_else(|| "bad accumulator wire bytes".to_string())
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        out.insert_cell(cell.clone(), CellStats { count, sums });
-    }
-    Ok(out)
-}
-
-fn bytes_to_hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-fn bytes_from_hex(s: &str) -> Result<Vec<u8>, String> {
-    if !s.len().is_multiple_of(2) {
-        return Err("odd-length hex".into());
-    }
-    (0..s.len() / 2)
-        .map(|i| {
-            u8::from_str_radix(&s[2 * i..2 * i + 2], 16).map_err(|e| format!("bad hex: {e}"))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -651,7 +591,7 @@ mod tests {
         SweepSpec::new("selftest", 10).arg("seed", 7)
     }
 
-    fn rows_for(range: std::ops::Range<usize>) -> SweepRows {
+    fn rows_for(range: Range<usize>) -> SweepRows {
         let mut rows = SweepRows::new();
         for run in range {
             rows.push("cell", run, vec![run as f64 * 0.1, -1.0 / (run as f64 + 1.0)]);
@@ -676,10 +616,6 @@ mod tests {
         let shard = store.read_valid_shard(&spec(), 1, 3..7).unwrap();
         assert_eq!(shard.rows, rows);
         assert_eq!(shard.spec, spec());
-        assert_eq!(
-            shard.stats.fingerprint(),
-            ExactStats::from_rows(&rows).fingerprint()
-        );
         // wrong range or id -> not usable
         assert!(store.read_valid_shard(&spec(), 1, 3..8).is_none());
         assert!(store.read_valid_shard(&spec(), 0, 3..7).is_none());
@@ -694,12 +630,7 @@ mod tests {
         // incomplete -> error
         assert!(store.load_merged(&s).is_err());
         store.write_shard(&s, 1, 5..10, &rows_for(5..10)).unwrap();
-        let (rows, stats) = store.load_merged(&s).unwrap();
-        assert_eq!(rows, rows_for(0..10));
-        assert_eq!(
-            stats.fingerprint(),
-            ExactStats::from_rows(&rows_for(0..10)).fingerprint()
-        );
+        assert_eq!(store.load_merged(&s).unwrap(), rows_for(0..10));
         // stale extra shard from a different partition -> error
         store.write_shard(&s, 2, 6..10, &rows_for(6..10)).unwrap();
         let err = store.load_merged(&s).unwrap_err();
@@ -727,7 +658,41 @@ mod tests {
         fs::write(&path, &text).unwrap();
         assert!(store.read_valid_shard(&s, 0, 0..10).is_none());
         let err = store.load_merged(&s).unwrap_err();
-        assert!(err.contains("corrupt") || err.contains("stats"), "{err}");
+        assert!(err.contains("corrupt"), "{err}");
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn decode_rejects_out_of_range_and_repeated_rows() {
+        let s = spec();
+        let err = decode_shard(&encode_shard(&s, 0, 0..5, &rows_for(0..8))).unwrap_err();
+        assert!(err.contains("run 5 outside"), "{err}");
+        let text = encode_shard(&s, 0, 0..3, &rows_for(0..3));
+        let repeated = text.replace("\"runs\":[0,1,2]", "\"runs\":[0,0,2]");
+        assert_ne!(repeated, text);
+        let err = decode_shard(&repeated).unwrap_err();
+        assert!(err.contains("appears twice"), "{err}");
+    }
+
+    #[test]
+    fn merged_load_rejects_a_shard_missing_rows() {
+        let store = temp_store("missing-rows");
+        let s = spec();
+        // Shard 0 claims 0..5 but holds only runs 0..3: the ranges
+        // tile, the rows do not.
+        store.write_shard(&s, 0, 0..5, &rows_for(0..3)).unwrap();
+        store.write_shard(&s, 1, 5..10, &rows_for(5..10)).unwrap();
+        let err = store.load_merged(&s).unwrap_err();
+        assert!(err.contains("missing rows"), "{err}");
+        // Same for a last shard short of its tail.
+        store.write_shard(&s, 0, 0..5, &rows_for(0..5)).unwrap();
+        store.write_shard(&s, 1, 5..10, &rows_for(5..9)).unwrap();
+        let err = store.load_merged(&s).unwrap_err();
+        assert!(err.contains("missing rows"), "{err}");
+        // A cell that skips its leading runs everywhere still merges.
+        store.write_shard(&s, 1, 5..10, &rows_for(5..10)).unwrap();
+        store.write_shard(&s, 0, 0..5, &rows_for(1..5)).unwrap();
+        assert_eq!(store.load_merged(&s).unwrap(), rows_for(1..10));
         let _ = fs::remove_dir_all(store.root());
     }
 
